@@ -8,8 +8,7 @@ the flux and two Lagrange multipliers, in four discrete formulations
 """
 
 from .mesh import (Mesh, ElementGeometry, MeshFormatError, unit_square_mesh,
-                   reentrant_mesh, sector_mesh, mesh_size, read_mesh,
-                   write_mesh)
+                   sector_mesh, mesh_size, read_mesh, write_mesh)
 from .elements import (FeSpace, QuadratureRule, lagrange_eval, lagrange_grad,
                        quadrature, build_space, interpolate)
 from .forms import (StabilizationParams, LengthScale, Formulation,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Mesh", "ElementGeometry", "MeshFormatError", "unit_square_mesh",
-    "reentrant_mesh", "sector_mesh", "mesh_size", "read_mesh", "write_mesh",
+    "sector_mesh", "mesh_size", "read_mesh", "write_mesh",
     "FeSpace", "QuadratureRule", "lagrange_eval", "lagrange_grad",
     "quadrature", "build_space", "interpolate",
     "StabilizationParams", "LengthScale", "Formulation", "ProblemData",

@@ -407,10 +407,8 @@ def check_coercivity(check, config):
                                   for t in ("left", "right", "bottom",
                                             "top")})
     system = assemble(mesh, Formulation("eo_full", 0), data)
-    cons = dirichlet_values(system, data)
     free = np.setdiff1d(np.arange(system.n_dofs),
-                        np.fromiter(cons.keys(), dtype=np.int64,
-                                    count=len(cons)))
+                        dirichlet_values(system, data)[0])
     norm = stability_norm_matrix(system.spaces, 1.0, mesh_size(mesh))
     rng = np.random.default_rng(config.seed)
     worst = np.inf
@@ -437,8 +435,6 @@ def main(argv=None):
                         "config's 'output')")
     parser.add_argument("--threads", type=int, default=1,
                         help="concurrent solves within a sweep")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded, bit-reproducible runs")
     args = parser.parse_args(argv)
 
     try:
@@ -446,7 +442,7 @@ def main(argv=None):
             config = load_config(args.config)
         else:
             config = RunConfig({})
-        threads = 1 if args.deterministic else max(1, args.threads)
+        threads = max(1, args.threads)
         out_dir = _outdir(config, args.out)
         handler = {"solve": cmd_solve, "convergence": cmd_convergence,
                    "data-study": cmd_data_study, "verify": cmd_verify}

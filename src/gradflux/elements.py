@@ -272,6 +272,13 @@ class FeSpace:
         return hit
 
 
+def edge_local_nodes(degree):
+    """(3, degree + 1) local nodes on each local edge (v0,v1), (v1,v2),
+    (v2,v0): its two vertices, then its edge nodes in traversal order."""
+    inner = 3 + np.arange(3)[:, None] * (degree - 1) + np.arange(degree - 1)
+    return np.hstack([[[0, 1], [1, 2], [2, 0]], inner])
+
+
 def _build_cg_dof_map(mesh, degree):
     nv = mesh.n_vertices
     nt = mesh.n_triangles
@@ -279,27 +286,20 @@ def _build_cg_dof_map(mesh, degree):
     n_int = (degree - 1) * (degree - 2) // 2
     edges = mesh.edges
     ne = len(edges)
-    # edges are unique and lexicographically sorted, so flat keys are
-    # ascending and searchsorted recovers the edge number
-    edge_keys = edges[:, 0] * nv + edges[:, 1]
 
     n_local = (degree + 1) * (degree + 2) // 2
     dof_map = np.empty((nt, n_local), dtype=np.int64)
     dof_map[:, 0:3] = mesh.triangles
 
     if n_edge_nodes:
-        local = 3
-        for le, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):
-            a = mesh.triangles[:, la]
-            b = mesh.triangles[:, lb]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            gedge = np.searchsorted(edge_keys, lo * nv + hi)
-            forward = a < b  # local traversal matches canonical lo -> hi
-            for i in range(n_edge_nodes):
-                slot = np.where(forward, i, n_edge_nodes - 1 - i)
-                dof_map[:, local + le * n_edge_nodes + i] = \
-                    nv + gedge * n_edge_nodes + slot
+        # edge nodes are numbered from the lower to the higher vertex;
+        # local edge le runs from vertex le to vertex le + 1
+        tri = mesh.triangles
+        forward = (tri < np.roll(tri, -1, axis=1))[:, :, None]
+        i = np.arange(n_edge_nodes)
+        slot = np.where(forward, i, n_edge_nodes - 1 - i)
+        gnodes = nv + mesh.triangle_edges[:, :, None] * n_edge_nodes + slot
+        dof_map[:, 3:3 + 3 * n_edge_nodes] = gnodes.reshape(nt, -1)
     if n_int:
         start = nv + ne * n_edge_nodes
         base = start + np.arange(nt)[:, None] * n_int

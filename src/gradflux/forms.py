@@ -90,6 +90,10 @@ class StabilizationParams:
             raise ValueError(f"eta must be < 1, got {self.eta}")
         if self.alpha > 0.25:
             raise ValueError(f"alpha must be <= 1/4, got {self.alpha}")
+        for name in ("ell_s", "ell_mu"):
+            if not isinstance(getattr(self, name), LengthScale):
+                raise ValueError(f"{name} must be a LengthScale, got "
+                                 f"{getattr(self, name)!r}")
 
     @classmethod
     def none(cls):
@@ -206,9 +210,12 @@ class ProblemData:
 
     ``dirichlet`` maps a boundary tag to a pair of callables
     (g_u(x, y), g_lambda(x, y)); ``neumann`` maps a tag to normal-trace
-    callables (g_s(x, y, nx, ny), g_mu(x, y, nx, ny)).  Scalar and
-    vector fields may be vectorized callables, constants, or
-    ``ElementField`` objects (element-constant data).
+    callables (g_s(x, y, nx, ny), g_mu(x, y, nx, ny)).  Boundary
+    callables are called once per tag on coordinate arrays, Neumann ones
+    also on outward unit normal arrays of the same shape; either may be
+    None to leave that field's condition out.  Scalar and vector fields
+    may be vectorized callables, constants, or ``ElementField`` objects
+    (element-constant data).
     """
 
     kappa: float = 1.0
@@ -278,7 +285,9 @@ class BlockSystem:
     n_dofs: int
     spaces: SpaceSet
     symmetric_variant: bool = False
-    constrained: dict = field(default_factory=dict)
+    # (dofs, values) of the strong boundary conditions, sorted by dof
+    constrained: tuple = field(default_factory=lambda: (
+        np.empty(0, dtype=np.int64), np.empty(0)))
 
     def field_slice(self, name):
         start = self.offsets[name]
@@ -509,88 +518,83 @@ def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
     space = spaces.u  # u and lambda share the trace space
     n1d = max(2, (quad_exactness + 2) // 2)
     ts, ws = gauss_legendre_01(n1d)
+    # Quadrature points on the three reference edges, each traversed in
+    # its triangle's counter-clockwise local order.
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    ref_pts = ref[:, None] + ts[:, None] * (np.roll(ref, -1, axis=0)
+                                            - ref)[:, None]
+    vals = space.tabulate(ref_pts.reshape(-1, 2))[0].reshape(3, n1d, -1)
     owners = mesh.boundary_edge_elements()
-    inv_jac_t = elements.inverse_jacobians_t(mesh)
-    centroids = mesh.centroids
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
+    tags = np.asarray(mesh.boundary_tags)
 
-    for idx, ((a, b), tag) in enumerate(zip(mesh.boundary_edges,
-                                            mesh.boundary_tags)):
-        pair = data.neumann.get(tag)
-        if pair is None:
+    for tag in dict.fromkeys(mesh.boundary_tags):
+        if tag not in data.neumann:
             continue
-        g_s, g_mu = pair
-        elem, _ = owners[idx]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        tangent = pb - pa
-        length = float(np.hypot(*tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        mid = 0.5 * (pa + pb)
-        if normal @ (centroids[elem] - mid) > 0.0:
-            normal = -normal
-        xq = pa[None, :] + ts[:, None] * tangent[None, :]
-        ref = (xq - p0[elem]) @ inv_jac_t[elem]    # J^{-1} (x - p0)
-        vals, _ = space.tabulate(ref)
-        edge_w = ws * length
+        g_s, g_mu = data.neumann[tag]
+        elem, le = owners[tags == tag].T
+        pa = mesh.vertices[mesh.triangles[elem, le]]
+        tangent = mesh.vertices[mesh.triangles[elem, (le + 1) % 3]] - pa
+        length = np.hypot(tangent[:, 0], tangent[:, 1])
+        # the counter-clockwise tangent turned clockwise points outward
+        nx = np.broadcast_to((tangent[:, 1] / length)[:, None],
+                             (len(elem), n1d))
+        ny = np.broadcast_to((-tangent[:, 0] / length)[:, None], nx.shape)
+        xq = pa[:, None] + ts[:, None] * tangent[:, None]
+        edge_w = ws * length[:, None]
         gdofs = space.dof_map[elem]
-        if g_mu is not None:
-            gm = np.asarray(g_mu(xq[:, 0], xq[:, 1], normal[0], normal[1]),
-                            dtype=float)
-            np.add.at(rhs, gdofs + offsets["u"],
-                      -np.einsum("q,q,qi->i", edge_w, gm, vals))
-        if g_s is not None:
-            gs = np.asarray(g_s(xq[:, 0], xq[:, 1], normal[0], normal[1]),
-                            dtype=float)
-            np.add.at(rhs, gdofs + offsets["lam"],
-                      -dual_sign * np.einsum("q,q,qi->i", edge_w, gs, vals))
+        for g, name, sign in ((g_mu, "u", -1.0), (g_s, "lam", -dual_sign)):
+            if g is not None:
+                gv = np.asarray(g(xq[..., 0], xq[..., 1], nx, ny),
+                                dtype=float)
+                np.add.at(rhs, gdofs + offsets[name],
+                          sign * np.einsum("eq,eq,eqi->ei", edge_w, gv,
+                                           vals[le]))
 
 
 # ----------------------------------------------------------------------
 # strong Dirichlet conditions
 
 
-def _edge_scalar_nodes(space, edge_pair):
-    """Global scalar node numbers on one mesh edge (vertices + edge
-    nodes) for a CG space."""
-    mesh = space.mesh
-    a, b = int(edge_pair[0]), int(edge_pair[1])
-    nodes = [a, b]
-    n_edge = space.degree - 1
-    if n_edge:
-        ge = mesh.edge_index[(min(a, b), max(a, b))]
-        base = mesh.n_vertices + ge * n_edge
-        nodes.extend(range(base, base + n_edge))
-    return nodes
-
-
 def dirichlet_values(system, data):
-    """Constrained global dofs with their boundary values."""
+    """Constrained global dofs and their boundary values, as two arrays
+    sorted by dof.
+
+    The nodes of a tagged edge are read from its owner triangle's dof
+    map; each boundary callable is evaluated once per tag.
+    """
     spaces = system.spaces
-    mesh = spaces.mesh
-    values = {}
-
-    def constrain(space, offset, g, tag, a, b):
-        for node in _edge_scalar_nodes(space, (a, b)):
-            x, y = space.node_coords[node]
-            val = float(g(x, y))
-            dof = offset + node
-            old = values.get(dof)
-            if old is not None and abs(old - val) > _CONFLICT_TOL:
-                raise ValueError(
-                    f"conflicting Dirichlet values at node ({x:.6g}, "
-                    f"{y:.6g}): {old!r} vs {val!r} (tag {tag!r})")
-            values[dof] = val
-
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        pair = data.dirichlet.get(tag)
-        if pair is None:
+    owners = spaces.mesh.boundary_edge_elements()
+    tags = np.asarray(spaces.mesh.boundary_tags)
+    fixed = np.zeros(system.n_dofs, dtype=bool)
+    value = np.zeros(system.n_dofs)
+    for tag in dict.fromkeys(spaces.mesh.boundary_tags):
+        if tag not in data.dirichlet:
             continue
-        g_u, g_lam = pair
-        if g_u is not None:
-            constrain(spaces.u, system.offsets["u"], g_u, tag, a, b)
-        if g_lam is not None:
-            constrain(spaces.lam, system.offsets["lam"], g_lam, tag, a, b)
-    return values
+        g_u, g_lam = data.dirichlet[tag]
+        elem, le = owners[tags == tag].T
+        for space, name, g in ((spaces.u, "u", g_u),
+                               (spaces.lam, "lam", g_lam)):
+            if g is None:
+                continue
+            local = elements.edge_local_nodes(space.degree)[le]
+            nodes = np.unique(space.dof_map[elem[:, None], local])
+            x, y = space.node_coords[nodes].T
+            vals = np.broadcast_to(np.asarray(g(x, y), dtype=float),
+                                   nodes.shape)
+            dofs = system.offsets[name] + nodes
+            seen = fixed[dofs]
+            clash = np.flatnonzero(seen & (np.abs(value[dofs] - vals)
+                                           > _CONFLICT_TOL))
+            if clash.size:
+                i = clash[0]
+                raise ValueError(
+                    f"conflicting Dirichlet values at node ({x[i]:.6g}, "
+                    f"{y[i]:.6g}): {float(value[dofs[i]])!r} vs "
+                    f"{float(vals[i])!r} (tag {tag!r})")
+            value[dofs[~seen]] = vals[~seen]
+            fixed[dofs] = True
+    dofs = np.flatnonzero(fixed)
+    return dofs, value[dofs]
 
 
 def apply_dirichlet(system, data):
@@ -600,12 +604,10 @@ def apply_dirichlet(system, data):
     the right-hand side (symmetric elimination).  Returns a new system,
     the input is untouched.
     """
-    values = dirichlet_values(system, data)
+    idx, val = dirichlet_values(system, data)
     n = system.n_dofs
     lifted = np.array(system.rhs)
-    if values:
-        idx = np.fromiter(values.keys(), dtype=np.int64, count=len(values))
-        val = np.fromiter(values.values(), dtype=float, count=len(values))
+    if len(idx):
         x_bc = np.zeros(n)
         x_bc[idx] = val
         lifted -= system.matrix @ x_bc
@@ -620,7 +622,7 @@ def apply_dirichlet(system, data):
     return BlockSystem(matrix=matrix, rhs=lifted, offsets=system.offsets,
                        n_dofs=n, spaces=system.spaces,
                        symmetric_variant=system.symmetric_variant,
-                       constrained=values)
+                       constrained=(idx, val))
 
 
 # ----------------------------------------------------------------------

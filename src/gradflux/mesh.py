@@ -76,11 +76,11 @@ class Mesh:
         if self.boundary_edges.size == 0:
             self.boundary_edges = self.boundary_edges.reshape(0, 2)
         self.boundary_tags = tuple(boundary_tags)
+        self._cache = {}
         if validate:
             self._validate()
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.flags.writeable = False
-        self._cache = {}
 
     # ------------------------------------------------------------------
     # validation
@@ -93,9 +93,11 @@ class Mesh:
             raise MeshFormatError("triangle array must have shape (nt, 3)")
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise MeshFormatError("one tag required per boundary edge")
-        for tag in self.boundary_tags:
-            if tag not in BOUNDARY_TAGS:
-                raise MeshFormatError(f"unknown boundary tag {tag!r}")
+        unknown = np.flatnonzero(~np.isin(
+            np.asarray(self.boundary_tags, dtype=str), BOUNDARY_TAGS))
+        if unknown.size:
+            raise MeshFormatError(f"unknown boundary tag "
+                                  f"{self.boundary_tags[unknown[0]]!r}")
         if self.triangles.size and (self.triangles.min() < 0
                                     or self.triangles.max() >= nv):
             bad = np.argwhere((self.triangles < 0)
@@ -120,31 +122,31 @@ class Mesh:
         # Edge-manifold check: interior edges touch two triangles,
         # boundary edges exactly one, and the declared boundary list must
         # match the set of single-triangle edges.
-        counts = {}
-        for tri in t:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        over = [k for k, c in counts.items() if c > 2]
-        if over:
-            raise MeshFormatError(
-                f"edge {over[0]} is shared by more than two triangles")
-        declared = set()
-        for i, (a, b) in enumerate(self.boundary_edges):
-            key = (min(a, b), max(a, b))
-            if key in declared:
+        _, edges, _, counts = self._edge_table()
+        over = np.flatnonzero(counts > 2)
+        if over.size:
+            raise MeshFormatError(f"edge {_pair(edges[over[0]])} is shared "
+                                  "by more than two triangles")
+        keys = _edge_keys(self.boundary_edges, nv)
+        number = self._edge_numbers(keys)
+        first = np.zeros(len(keys), dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        bounds_one = np.append(counts, 0)[number] == 1    # -1 reads 0
+        bad = np.flatnonzero(~first | ~bounds_one)
+        if bad.size:
+            i = bad[0]
+            if not first[i]:
                 raise MeshFormatError(f"boundary edge {i} listed twice")
-            declared.add(key)
-            if counts.get(key, 0) != 1:
-                raise MeshFormatError(
-                    f"boundary edge {i} = {key} does not bound exactly "
-                    "one triangle")
-        lonely = [k for k, c in counts.items()
-                  if c == 1 and k not in declared]
-        if lonely:
             raise MeshFormatError(
-                f"edge {lonely[0]} bounds a single triangle but is not "
-                "declared as a boundary edge")
+                f"boundary edge {i} = {_pair(self.boundary_edges[i])} does "
+                "not bound exactly one triangle")
+        declared = np.zeros(len(edges), dtype=bool)
+        declared[number] = True
+        lonely = np.flatnonzero((counts == 1) & ~declared)
+        if lonely.size:
+            raise MeshFormatError(
+                f"edge {_pair(edges[lonely[0]])} bounds a single triangle "
+                "but is not declared as a boundary edge")
 
     # ------------------------------------------------------------------
     # sizes
@@ -210,50 +212,74 @@ class Mesh:
                                float(area[index]), float(diam[index]))
 
     # ------------------------------------------------------------------
-    # edge connectivity (used by CG dof maps and boundary integrals)
+    # edge table (used by CG dof maps and boundary conditions)
+    #
+    # Local edges are numbered 0: (v0,v1), 1: (v1,v2), 2: (v2,v0), so each
+    # runs counter-clockwise around its triangle.
+
+    def _edge_table(self):
+        table = self._cache.get("edge_table")
+        if table is None:
+            pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+            keys, inverse, counts = np.unique(
+                _edge_keys(pairs, self.n_vertices), return_inverse=True,
+                return_counts=True)
+            edges = np.column_stack(np.divmod(keys, self.n_vertices))
+            table = (keys, edges, inverse.reshape(-1, 3), counts)
+            for arr in table:
+                arr.flags.writeable = False
+            self._cache["edge_table"] = table
+        return table
+
+    def _edge_numbers(self, keys):
+        """Edge number of each key from ``_edge_keys``, -1 if no
+        triangle has that edge."""
+        known = self._edge_table()[0]
+        pos = np.searchsorted(known, keys)
+        hit = pos < len(known)
+        hit[hit] = known[pos[hit]] == keys[hit]
+        return np.where(hit, pos, -1)
 
     @property
     def edges(self):
         """Sorted (a < b) unique edges, lexicographic order."""
-        self._build_edges()
-        return self._cache["edges"]
+        return self._edge_table()[1]
 
     @property
-    def edge_index(self):
-        """dict mapping sorted vertex pair -> edge number."""
-        self._build_edges()
-        return self._cache["edge_index"]
-
-    def _build_edges(self):
-        if "edges" in self._cache:
-            return
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        edges = np.unique(pairs, axis=0)
-        edges.flags.writeable = False
-        self._cache["edges"] = edges
-        self._cache["edge_index"] = {(int(a), int(b)): i
-                                     for i, (a, b) in enumerate(edges)}
+    def triangle_edges(self):
+        """(nt, 3) edge number of each local edge."""
+        return self._edge_table()[2]
 
     def boundary_edge_elements(self):
-        """For each boundary edge: (triangle index, local edge index).
+        """(nb, 2) int array: (triangle index, local edge index) of each
+        boundary edge."""
+        owners = self._cache.get("boundary_elems")
+        if owners is None:
+            number = self._edge_numbers(_edge_keys(self.boundary_edges,
+                                                   self.n_vertices))
+            if np.any(number < 0):
+                i = int(np.argmin(number))
+                raise MeshFormatError(f"boundary edge {i} bounds no "
+                                      "triangle")
+            # last writer wins; a boundary edge has one writer only
+            slot = np.empty(len(self.edges), dtype=np.int64)
+            slot[self.triangle_edges.ravel()] = np.arange(
+                self.triangle_edges.size)
+            owners = np.column_stack(np.divmod(slot[number], 3))
+            owners.flags.writeable = False
+            self._cache["boundary_elems"] = owners
+        return owners
 
-        Local edges are numbered 0: (v0,v1), 1: (v1,v2), 2: (v2,v0).
-        """
-        cached = self._cache.get("boundary_elems")
-        if cached is None:
-            owner = {}
-            for ti, tri in enumerate(self.triangles):
-                locs = ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
-                for le, (a, b) in enumerate(locs):
-                    owner[(min(a, b), max(a, b))] = (ti, le)
-            cached = []
-            for a, b in self.boundary_edges:
-                cached.append(owner[(min(a, b), max(a, b))])
-            cached = tuple(cached)
-            self._cache["boundary_elems"] = cached
-        return cached
+
+def _edge_keys(pairs, n_vertices):
+    """Flat key lo * nv + hi of each vertex pair; keys sort like the
+    sorted pairs."""
+    return pairs.min(axis=1) * n_vertices + pairs.max(axis=1)
+
+
+def _pair(edge):
+    a, b = sorted(int(v) for v in edge)
+    return f"({a}, {b})"
 
 
 def _signed_areas(vertices, triangles):
@@ -310,91 +336,22 @@ def unit_square_mesh(n):
     return mesh
 
 
-def reentrant_mesh(phi, n_radial, n_angular, grading=2.0):
-    """Circular sector of radius 1 with a re-entrant corner at the origin.
-
-    The sector opens over theta in [0, psi] with psi = 2*pi - phi.  Radial
-    node layers sit at r_j = (j / n_radial)**grading, so grading = 1 is
-    uniform and grading > 1 refines toward the corner.  The outer circle
-    is approximated by chords tagged "arc"; the straight edges are tagged
-    "wedge_edge_0" (theta = 0) and "wedge_edge_1" (theta = psi).
-    """
-    if not 0.0 < phi < np.pi:
-        raise ValueError(f"corner angle must lie in (0, pi), got {phi}")
-    if n_radial < 1 or n_angular < 1:
-        raise ValueError("n_radial and n_angular must be >= 1")
-    if grading < 1.0:
-        raise ValueError(f"grading must be >= 1, got {grading}")
-    psi = 2.0 * np.pi - phi
-    dtheta = psi / n_angular
-    if dtheta >= np.pi:
-        raise ValueError(
-            f"n_angular = {n_angular} is degenerate for opening angle "
-            f"{psi:.4f}: angular step must be < pi")
-
-    radii = (np.arange(1, n_radial + 1) / n_radial) ** grading
-    thetas = psi * np.arange(n_angular + 1) / n_angular
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    # Pin the wedge rays exactly onto the boundary rays.
-    sin_t[0] = 0.0
-    cos_t[0] = 1.0
-
-    vertices = [(0.0, 0.0)]
-    for r in radii:
-        for c, s in zip(cos_t, sin_t):
-            vertices.append((r * c, r * s))
-    vertices = np.array(vertices)
-
-    def vid(j, i):
-        # layer j in 1..n_radial, angular index i in 0..n_angular
-        return 1 + (j - 1) * (n_angular + 1) + i
-
-    triangles = []
-    for i in range(n_angular):
-        triangles.append((0, vid(1, i), vid(1, i + 1)))
-    for j in range(1, n_radial):
-        for i in range(n_angular):
-            a = vid(j, i)
-            b = vid(j + 1, i)
-            c = vid(j + 1, i + 1)
-            d = vid(j, i + 1)
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-
-    edges = []
-    tags = []
-    edges.append((0, vid(1, 0)))
-    tags.append("wedge_edge_0")
-    edges.append((0, vid(1, n_angular)))
-    tags.append("wedge_edge_1")
-    for j in range(1, n_radial):
-        edges.append((vid(j, 0), vid(j + 1, 0)))
-        tags.append("wedge_edge_0")
-        edges.append((vid(j, n_angular), vid(j + 1, n_angular)))
-        tags.append("wedge_edge_1")
-    for i in range(n_angular):
-        edges.append((vid(n_radial, i), vid(n_radial, i + 1)))
-        tags.append("arc")
-
-    mesh = Mesh(vertices, np.array(triangles), np.array(edges), tags)
-    _check_on_boundary(mesh, _sector_boundary_distance(psi))
-    return mesh
-
-
 def sector_mesh(phi, n, grading=1.0):
-    """Shape-regular triangulation of the re-entrant sector of
-    ``reentrant_mesh``.
+    """Shape-regular triangulation of a circular sector of radius 1 with
+    a re-entrant corner at the origin.
 
-    Ring j = 1..n sits at r_j = (j / n)**grading and carries
-    round(psi * j) equal angular segments, so the angular resolution
-    grows with the radius instead of being fixed on every ring.
-    Neighbouring rings are stitched front by front, each step closing the
-    triangle whose new edge is the shorter of the two candidates.  The
-    element diameter/inradius ratio is therefore bounded independently of
-    n for a fixed grading, also next to the corner, where the fixed polar
-    layout of ``reentrant_mesh`` degenerates into slivers.  The outer
-    circle is split into round(psi * n) chords tagged "arc"; the straight
-    edges are tagged as in ``reentrant_mesh``.
+    The sector opens over theta in [0, psi] with psi = 2*pi - phi.  Ring
+    j = 1..n sits at r_j = (j / n)**grading, so grading = 1 is uniform and
+    grading > 1 refines toward the corner.  Ring j carries round(psi * j)
+    equal angular segments: the angular resolution grows with the radius,
+    where a polar layout with the same count on every ring degenerates
+    into slivers next to the corner.  Neighbouring rings are stitched
+    front by front, each step closing the triangle whose new edge is the
+    shorter of the two candidates, so the element diameter/inradius ratio
+    is bounded independently of n for a fixed grading.  The outer circle
+    is split into round(psi * n) chords tagged "arc"; the straight edges
+    are tagged "wedge_edge_0" (theta = 0) and "wedge_edge_1"
+    (theta = psi).
     """
     if not 0.0 < phi < np.pi:
         raise ValueError(f"corner angle must lie in (0, pi), got {phi}")
@@ -483,13 +440,19 @@ def _sector_boundary_distance(psi):
 
 
 def _check_on_boundary(mesh, distance):
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        pts = mesh.vertices[[a, b]]
-        d = distance(tag, pts)
-        if np.any(d > _GEOM_TOL):
-            raise MeshFormatError(
-                f"boundary edge ({a}, {b}) tagged {tag!r} is off the "
-                f"declared boundary by {d.max():.3e}")
+    tags = np.asarray(mesh.boundary_tags)
+    off = np.zeros(len(tags))
+    for tag in dict.fromkeys(mesh.boundary_tags):
+        on = tags == tag
+        pts = mesh.vertices[mesh.boundary_edges[on]].reshape(-1, 2)
+        off[on] = distance(tag, pts).reshape(-1, 2).max(axis=1)
+    bad = np.flatnonzero(off > _GEOM_TOL)
+    if bad.size:
+        a, b = mesh.boundary_edges[bad[0]]
+        raise MeshFormatError(
+            f"boundary edge ({a}, {b}) tagged {mesh.boundary_tags[bad[0]]!r} "
+            f"is off the "
+            f"declared boundary by {off[bad[0]]:.3e}")
 
 
 def mesh_size(mesh):

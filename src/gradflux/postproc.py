@@ -160,11 +160,13 @@ class StudyReport:
     rows: list = field(default_factory=list)   # dicts: h, dofs, errors
 
     def add_row(self, h, dofs, errors):
+        """Append one mesh; an error of None marks a column the sweep
+        does not measure."""
         if self.rows and h >= self.rows[-1]["h"]:
             raise ValueError("rows must be added with decreasing h")
         row = {"h": float(h), "dofs": int(dofs)}
         for col in ERROR_COLUMNS:
-            row[col] = float(errors[col])
+            row[col] = None if errors[col] is None else float(errors[col])
         self.rows.append(row)
 
     @property
@@ -184,8 +186,9 @@ class StudyReport:
     def _fit(self, fit):
         out = {}
         for col in ERROR_COLUMNS:
+            errors = self.errors(col)
             try:
-                out[col] = fit(self.hs, self.errors(col))
+                out[col] = None if None in errors else fit(self.hs, errors)
             except ValueError:
                 out[col] = None
         return out
@@ -199,13 +202,16 @@ def write_report(report, path):
                                                  report.formulation))
         fh.write(",".join(cols) + "\n")
         for row in report.rows:
-            fh.write(",".join(_FMT % row[c] if c != "dofs" else str(row[c])
-                              for c in cols) + "\n")
+            fh.write(",".join(_cell(row[c]) for c in cols) + "\n")
         rates = report.rates()
-        cells = ["rate", ""]
-        for col in ERROR_COLUMNS:
-            cells.append("" if rates[col] is None else _FMT % rates[col])
+        cells = ["rate", ""] + [_cell(rates[col]) for col in ERROR_COLUMNS]
         fh.write(",".join(cells) + "\n")
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else _FMT % value
 
 
 def read_report(path):
@@ -226,7 +232,8 @@ def read_report(path):
         if cells[0] == "rate":
             break
         record = dict(zip(header, cells))
-        errors = {c: float(record[c]) for c in ERROR_COLUMNS}
+        errors = {c: float(record[c]) if record[c] else None
+                  for c in ERROR_COLUMNS}
         report.add_row(float(record["h"]), int(record["dofs"]), errors)
     return report
 
@@ -244,7 +251,7 @@ def plot_loglog(report, path, width=760, height=560):
     and dashed reference triangles for slopes 1, 2 and 3."""
     hs = np.asarray(report.hs, dtype=float)
     columns = [c for c in ERROR_COLUMNS
-               if all(r[c] > 0.0 for r in report.rows)]
+               if all(r[c] is not None and r[c] > 0.0 for r in report.rows)]
     values = {c: np.asarray(report.errors(c)) for c in columns}
     if not len(hs) or not columns:
         with open(path, "w") as fh:

@@ -143,6 +143,15 @@ def test_data_study_writes_per_nd_reports(tmp_path):
         assert (out / f"report_nd{nd}.svg").exists()
 
 
+def test_non_length_scale_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"stabilization": {"ell_s": "global_h"},
+                                   "mesh": {"sizes": [2]}})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "stabilization: ell_s must be a LengthScale" in \
+        capsys.readouterr().err
+
+
 def test_coarse_fd_step_fails_verification(tmp_path):
     path = write_config(tmp_path, {"fd_step": 1e-2})
     rc = main(["verify", "--config", path, "--out", str(tmp_path / "o")])
@@ -158,8 +167,7 @@ def test_deterministic_solves_are_byte_identical(tmp_path):
     outputs = []
     for name in ("one", "two"):
         out = tmp_path / name
-        rc = main(["solve", "--config", path, "--out", str(out),
-                   "--deterministic"])
+        rc = main(["solve", "--config", path, "--out", str(out)])
         assert rc == 0
         outputs.append((out / "field_u.csv").read_bytes()
                        + (out / "report.csv").read_bytes())

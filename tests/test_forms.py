@@ -9,7 +9,7 @@ from gradflux.forms import (ElementField, Formulation, LengthScale,
                             assemble, dirichlet_values, stability_norm_matrix,
                             stabilization_lengths)
 from gradflux.manufactured import case1, case3
-from gradflux.mesh import Mesh, mesh_size, unit_square_mesh
+from gradflux.mesh import Mesh, mesh_size, sector_mesh, unit_square_mesh
 from gradflux.solver import solve_direct
 from gradflux.study import problem_data_for
 
@@ -320,6 +320,48 @@ def test_assembly_is_gradient_of_functional(kind):
     assert np.abs(defect).max() < 5e-8
 
 
+@pytest.mark.parametrize("make_mesh, neumann_tags", [
+    (lambda: unit_square_mesh(2), ("bottom", "right")),
+    (lambda: sector_mesh(np.pi / 2, 2, grading=2.0), ("arc", "wedge_edge_1")),
+])
+def test_neumann_loads_match_edge_reference(make_mesh, neumann_tags):
+    # case 1's normal traces vanish on its Neumann sides, so the test
+    # above sees no boundary load.  These data load every side they touch
+    # and are polynomials that both edge rules integrate exactly.
+    mesh = make_mesh()
+    case = case1()
+    g_s = lambda x, y, nx, ny: x + 2.0 * y * nx - 0.3 * ny
+    g_mu = lambda x, y, nx, ny: x * x * ny + y * nx
+    nothing = lambda x, y, nx, ny: np.zeros(np.shape(x))
+    dirichlet = {t: (case.u, case.lam)
+                 for t in set(mesh.boundary_tags) - set(neumann_tags)}
+    loaded = ProblemData(dirichlet=dirichlet,
+                         neumann={t: (g_s, g_mu) for t in neumann_tags})
+    bare = ProblemData(dirichlet=dirichlet,
+                       neumann={t: (nothing, nothing) for t in neumann_tags})
+    form, qe = Formulation("eo_full", 1), 5
+    system = assemble(mesh, form, loaded, quad_exactness=qe)
+    load = system.rhs - assemble(mesh, form, bare, quad_exactness=qe).rhs
+
+    # the boundary term of the functional is linear: its gradient holds
+    # its values at the unit vectors
+    params, rule = form.params(), quadrature(qe)
+    grad = np.zeros(system.n_dofs)
+    signs = np.ones(system.n_dofs)
+    signs[system.field_slice("lam")] = -1.0
+    signs[system.field_slice("mu")] = -1.0
+    for name in ("u", "lam"):
+        for i in range(system.n_dofs)[system.field_slice(name)]:
+            z = np.zeros(system.n_dofs)
+            z[i] = 1.0
+            grad[i] = (discrete_functional(system, loaded, case, params,
+                                           rule, z)
+                       - discrete_functional(system, bare, case, params,
+                                             rule, z))
+    assert np.abs(load).max() > 0.1
+    assert np.abs(load + signs * grad).max() < 1e-12
+
+
 # ----------------------------------------------------------------------
 # structure checks
 
@@ -407,9 +449,10 @@ def test_homogeneous_dirichlet_rows_are_identity():
                        dirichlet={t: (zero, zero) for t in SQUARE_TAGS})
     system = apply_dirichlet(assemble(mesh, Formulation("eo_min", 0),
                                       data), data)
-    assert system.constrained
+    dofs, values = system.constrained
+    assert len(dofs)
     mat = system.matrix.tocsr()
-    for dof, value in system.constrained.items():
+    for dof, value in zip(dofs, values):
         assert value == 0.0
         row = mat.getrow(dof)
         assert row.nnz == 1 and row[0, dof] == 1.0
@@ -444,6 +487,47 @@ def test_conflicting_corner_values_rejected():
     system = assemble(mesh, Formulation("natural", 0), data)
     with pytest.raises(ValueError, match="conflicting Dirichlet"):
         dirichlet_values(system, data)
+
+
+def on_tagged_boundary(mesh, tags, points, tol=1e-12):
+    """Mask of the points lying on a boundary edge with one of the tags."""
+    on = np.zeros(len(points), dtype=bool)
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag not in tags:
+            continue
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        t = np.clip((points - pa) @ (pb - pa) / ((pb - pa) @ (pb - pa)),
+                    0.0, 1.0)
+        on |= np.hypot(*(points - pa - t[:, None] * (pb - pa)).T) <= tol
+    return on
+
+
+@pytest.mark.parametrize("make_mesh, k, tags", [
+    (lambda: unit_square_mesh(3), 1, ("left", "bottom")),
+    (lambda: sector_mesh(np.pi / 2, 3, grading=2.0), 2,
+     ("wedge_edge_0", "arc")),
+])
+def test_constrained_dofs_are_the_tagged_boundary_nodes(make_mesh, k, tags):
+    mesh = make_mesh()
+    g_u = lambda x, y: 1.0 + x + 2.0 * y
+    g_lam = lambda x, y: x * y - 0.5
+    no_flux = lambda x, y, nx, ny: np.zeros(np.shape(x))
+    data = ProblemData(
+        dirichlet={t: (g_u, g_lam) for t in tags},
+        neumann={t: (no_flux, no_flux)
+                 for t in set(mesh.boundary_tags) - set(tags)})
+    system = assemble(mesh, Formulation("eo_min", k), data)
+    space = system.spaces.u
+    assert space.degree == k + 1
+    nodes = np.flatnonzero(on_tagged_boundary(mesh, tags, space.node_coords))
+    x, y = space.node_coords[nodes].T
+    expected_dofs = np.concatenate([system.offsets["u"] + nodes,
+                                    system.offsets["lam"] + nodes])
+    expected_values = np.concatenate([g_u(x, y), g_lam(x, y)])
+
+    dofs, values = dirichlet_values(system, data)
+    assert np.array_equal(dofs, expected_dofs)
+    np.testing.assert_allclose(values, expected_values, rtol=0, atol=1e-15)
 
 
 def test_missing_boundary_data_rejected():
@@ -522,10 +606,8 @@ def test_coercivity_sampling_small():
                        s_data=0.0,
                        dirichlet={t: (zero, zero) for t in SQUARE_TAGS})
     system = assemble(mesh, Formulation("eo_full", 0), data)
-    cons = dirichlet_values(system, data)
-    free = np.setdiff1d(np.arange(system.n_dofs),
-                        np.fromiter(cons.keys(), dtype=np.int64,
-                                    count=len(cons)))
+    cons, _ = dirichlet_values(system, data)
+    free = np.setdiff1d(np.arange(system.n_dofs), cons)
     gram = stability_norm_matrix(system.spaces, 1.0, mesh_size(mesh))
     rng = np.random.default_rng(5)
     for _ in range(100):

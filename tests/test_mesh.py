@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from gradflux.mesh import (Mesh, MeshFormatError, mesh_size, read_mesh,
-                           reentrant_mesh, sector_mesh, unit_square_mesh,
-                           write_mesh)
+from gradflux.mesh import (Mesh, MeshFormatError, _check_on_boundary,
+                           _square_boundary_distance, mesh_size, read_mesh,
+                           sector_mesh, unit_square_mesh, write_mesh)
 
 
 def test_unit_square_smallest_grid():
@@ -63,60 +63,6 @@ def test_square_boundary_tags_by_coordinate():
             assert tag == "top" and np.all(pts[:, 1] == 1.0)
 
 
-def test_reentrant_opening_angle():
-    # phi = pi/2 opens the sector over psi = 3 pi / 2
-    mesh = reentrant_mesh(np.pi / 2, 2, 8, grading=1.0)
-    thetas = np.mod(np.arctan2(mesh.vertices[1:, 1], mesh.vertices[1:, 0]),
-                    2 * np.pi)
-    assert thetas.max() == pytest.approx(1.5 * np.pi, abs=1e-12)
-
-
-def test_reentrant_uniform_radii():
-    mesh = reentrant_mesh(np.pi / 2, 2, 6, grading=1.0)
-    radii = np.unique(np.round(np.hypot(mesh.vertices[:, 0],
-                                        mesh.vertices[:, 1]), 12))
-    assert np.allclose(radii, [0.0, 0.5, 1.0])
-
-
-def test_reentrant_graded_radii():
-    mesh = reentrant_mesh(np.pi / 2, 4, 6, grading=2.0)
-    radii = np.unique(np.round(np.hypot(mesh.vertices[:, 0],
-                                        mesh.vertices[:, 1]), 12))
-    assert np.allclose(radii, [0.0, 1 / 16, 4 / 16, 9 / 16, 1.0])
-
-
-def test_reentrant_containment_and_orientation():
-    # constructor validates CCW; containment checked here
-    for phi in (np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-        mesh = reentrant_mesh(phi, 3, 9, grading=1.5)
-        r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        assert np.all(r <= 1.0 + 1e-12)
-
-
-def test_reentrant_area_within_chord_bound():
-    phi = np.pi / 2
-    psi = 2 * np.pi - phi
-    n_ang = 12
-    mesh = reentrant_mesh(phi, 3, n_ang, grading=1.0)
-    dtheta = psi / n_ang
-    deficit_bound = psi / 2 * (1.0 - np.sin(dtheta) / dtheta)
-    deficit = psi / 2 - mesh.areas.sum()
-    assert 0.0 <= deficit <= deficit_bound + 1e-12
-
-
-def test_reentrant_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        reentrant_mesh(0.0, 2, 8)
-    with pytest.raises(ValueError):
-        reentrant_mesh(np.pi, 2, 8)
-    with pytest.raises(ValueError):
-        reentrant_mesh(np.pi / 2, 0, 8)
-    with pytest.raises(ValueError):
-        reentrant_mesh(np.pi / 2, 2, 1)   # angular step >= pi
-    with pytest.raises(ValueError):
-        reentrant_mesh(np.pi / 2, 2, 8, grading=0.5)
-
-
 def test_sector_mesh_rings_and_grading():
     # ring j at (j/n)^grading with round(psi j) segments
     phi, n, grading = np.pi / 2, 4, 2.0
@@ -144,7 +90,6 @@ def test_sector_mesh_rejects_bad_arguments():
 
 def test_element_geometry_invariants():
     for mesh in (unit_square_mesh(3),
-                 reentrant_mesh(np.pi / 2, 3, 9, grading=2.0),
                  sector_mesh(np.pi / 2, 3, grading=2.0)):
         assert np.all(mesh.jacobian_dets > 0)
         assert np.allclose(mesh.areas, mesh.jacobian_dets / 2)
@@ -197,7 +142,7 @@ def test_write_read_round_trip(tmp_path):
 
 
 def test_read_round_trip_sector(tmp_path):
-    mesh = reentrant_mesh(3 * np.pi / 4, 2, 7, grading=2.0)
+    mesh = sector_mesh(3 * np.pi / 4, 2, grading=2.0)
     path = tmp_path / "sector.mesh"
     write_mesh(mesh, path)
     back = read_mesh(path)
@@ -233,3 +178,62 @@ def test_read_reports_wrong_counts(tmp_path):
     path.write_text("3 1 0\n0 0\n1 0\n")
     with pytest.raises(MeshFormatError, match="expected"):
         read_mesh(path)
+
+
+def one_cell_square():
+    # two CCW triangles (0, 1, 3) and (0, 3, 2) on the unit square
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    return vertices, np.array([[0, 1, 3], [0, 3, 2]])
+
+
+def test_boundary_edge_listed_twice_rejected():
+    vertices, triangles = one_cell_square()
+    edges = np.array([[0, 1], [1, 3], [3, 2], [2, 0], [1, 0]])
+    tags = ["bottom", "right", "top", "left", "bottom"]
+    with pytest.raises(MeshFormatError, match="boundary edge 4 listed twice"):
+        Mesh(vertices, triangles, edges, tags)
+
+
+def test_interior_edge_declared_as_boundary_rejected():
+    vertices, triangles = one_cell_square()
+    edges = np.array([[0, 1], [1, 3], [3, 2], [2, 0], [3, 0]])
+    tags = ["bottom", "right", "top", "left", "bottom"]
+    with pytest.raises(MeshFormatError,
+                       match="boundary edge 4 = .* does not bound exactly "
+                             "one triangle"):
+        Mesh(vertices, triangles, edges, tags)
+
+
+def test_edge_shared_by_three_triangles_message():
+    # two triangles above edge (0, 1) and one below it
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                         [0.5, 0.5]])
+    triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(MeshFormatError,
+                       match="shared by more than two triangles"):
+        Mesh(vertices, triangles, np.empty((0, 2), dtype=int), [])
+
+
+def test_boundary_edge_off_declared_boundary_rejected():
+    vertices, triangles = one_cell_square()
+    edges = np.array([[0, 1], [1, 3], [3, 2], [2, 0]])
+    mesh = Mesh(vertices, triangles, edges, ["bottom", "right", "top", "top"])
+    with pytest.raises(MeshFormatError,
+                       match=r"boundary edge \(2, 0\) tagged 'top' is off "
+                             "the declared boundary by 1.000e\\+00"):
+        _check_on_boundary(mesh, _square_boundary_distance)
+
+
+def test_boundary_edge_elements_at_every_local_position():
+    # unit_square_mesh(1) lists bottom, top, left, right; they sit on
+    # local edges 0, 1, 2 and 1 of their triangles
+    owners = np.asarray(unit_square_mesh(1).boundary_edge_elements())
+    assert owners.shape == (4, 2)
+    assert owners.tolist() == [[0, 0], [1, 1], [1, 2], [0, 1]]
+
+    mesh = sector_mesh(np.pi / 2, 3, grading=2.0)
+    owners = np.asarray(mesh.boundary_edge_elements())
+    assert set(owners[:, 1]) == {0, 1, 2}
+    for (elem, le), edge in zip(owners, mesh.boundary_edges):
+        tri = mesh.triangles[elem]
+        assert {tri[le], tri[(le + 1) % 3]} == set(edge)

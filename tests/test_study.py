@@ -7,6 +7,7 @@ from gradflux.study import (convergence_study, interpolation_study,
                             problem_data_for, sector_meshes, solve_case,
                             square_meshes)
 from gradflux.mesh import unit_square_mesh
+from gradflux.postproc import plot_loglog, read_report, write_report
 
 
 def test_case1_boundary_split():
@@ -111,3 +112,17 @@ def test_interpolation_study_tracks_singularity():
     report = interpolation_study(case, meshes)
     nu = np.pi / (2 * np.pi - phi)
     assert report.rates()["u_H1"] == pytest.approx(nu, abs=0.08)
+
+
+def test_interpolation_report_leaves_unmeasured_columns_undefined(tmp_path):
+    report = interpolation_study(case1(), square_meshes([2, 4, 8]))
+    for rates in (report.rates(), report.last_pair_rates()):
+        assert rates["lambda_L2"] is None
+        assert rates["mu_L2"] is None
+        assert rates["u_H1"] == pytest.approx(1.0, abs=0.2)
+    path = tmp_path / "interpolation.csv"
+    write_report(report, path)
+    assert read_report(path).rows == report.rows
+    plot_loglog(report, tmp_path / "interpolation.svg")
+    svg = (tmp_path / "interpolation.svg").read_text()
+    assert "u_H1" in svg and "lambda_L2" not in svg
