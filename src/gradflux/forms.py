@@ -14,6 +14,7 @@ potential equation load and the multiplier-balance misfit so the method
 stays consistent with source-augmented manufactured solutions.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,6 +353,91 @@ def _vector_mass(weight, phi_r, phi_c):
     return out.reshape(nt, 2 * nr, 2 * nc)
 
 
+# Sparsity that elements couple between two spaces: the coupled (row,
+# column) dof pairs in row-major order, each pair's position within its
+# row, the pairs per row, and for every element entry (element, i, j) in C
+# order the pair it adds to.
+_Pattern = namedtuple("_Pattern", "rows cols within counts slot")
+
+
+def _space_pair_pattern(row_space, col_space):
+    n_cols = col_space.n_dofs
+    keys = (row_space.element_dofs()[:, :, None].astype(np.int64) * n_cols
+            + col_space.element_dofs()[:, None, :])
+    pairs, slot = np.unique(keys.ravel(), return_inverse=True)
+    rows, cols = np.divmod(pairs, n_cols)
+    counts = np.bincount(rows, minlength=row_space.n_dofs)
+    first = np.cumsum(counts) - counts
+    within = np.arange(len(pairs)) - first[rows]
+    return _Pattern(rows, cols, within, counts, slot)
+
+
+class _BlockMatrix:
+    """Global matrix built from element matrices per (row, column) field
+    block.
+
+    Each added batch of element matrices is summed at once onto its
+    block's sparsity, so no global triplet list is held.  ``csr()``
+    writes every block into its segment of the global rows.  A row holds
+    its blocks in field order, and fields are numbered in that order, so
+    the column indices come out sorted and unique with no global sort.
+    Every block a formulation adds stores its whole pattern, explicit
+    zeros included.
+    """
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+        self._patterns = {}   # (row space id, column space id) -> pattern
+        self._values = {}     # (row field, column field) -> pair values
+
+    def _pattern(self, row_name, col_name):
+        row_space = self.spaces.by_name(row_name)
+        col_space = self.spaces.by_name(col_name)
+        key = (id(row_space), id(col_space))
+        if key not in self._patterns:
+            self._patterns[key] = _space_pair_pattern(row_space, col_space)
+        return self._patterns[key]
+
+    def add(self, row_name, col_name, mats):
+        pattern = self._pattern(row_name, col_name)
+        vals = np.bincount(pattern.slot, weights=mats.ravel(),
+                           minlength=len(pattern.rows))
+        key = (row_name, col_name)
+        if key in self._values:
+            self._values[key] += vals
+        else:
+            self._values[key] = vals
+
+    def csr(self):
+        offsets, n_dofs = self.spaces.offsets()
+        row_len = np.zeros(n_dofs, dtype=np.int64)
+        for row_name, col_name in self._values:
+            counts = self._pattern(row_name, col_name).counts
+            start = offsets[row_name]
+            row_len[start:start + len(counts)] += counts
+        indptr = np.zeros(n_dofs + 1, dtype=np.int64)
+        np.cumsum(row_len, out=indptr[1:])
+        nnz = int(indptr[-1])
+        index_dtype = (np.int32 if max(nnz, n_dofs) <= np.iinfo(np.int32).max
+                       else np.int64)
+        indices = np.empty(nnz, dtype=index_dtype)
+        data = np.empty(nnz)
+        fill = indptr[:-1].copy()          # next free slot of every row
+        for row_name in FIELD_NAMES:
+            for col_name in FIELD_NAMES:
+                vals = self._values.get((row_name, col_name))
+                if vals is None:
+                    continue
+                pattern = self._pattern(row_name, col_name)
+                start = offsets[row_name]
+                dest = fill[start + pattern.rows] + pattern.within
+                indices[dest] = pattern.cols + offsets[col_name]
+                data[dest] = vals
+                fill[start:start + len(pattern.counts)] += pattern.counts
+        return sp.csr_matrix((data, indices, indptr.astype(index_dtype)),
+                             shape=(n_dofs, n_dofs))
+
+
 def default_quad_exactness(spaces):
     """2 * (max polynomial degree in the form) + 3; the margin controls
     the consistency error from non-polynomial data fields."""
@@ -396,17 +482,10 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     phi_v = tab.phi("e")
     div_v = tab.div("e")
 
-    rows, cols, vals = [], [], []
+    blocks = _BlockMatrix(spaces)
+    add = blocks.add
     dofs = {name: spaces.by_name(name).element_dofs() + offsets[name]
             for name in FIELD_NAMES}
-
-    def add(row_name, col_name, mats):
-        nt, nr, nc = mats.shape
-        r = np.broadcast_to(dofs[row_name][:, :, None], mats.shape)
-        c = np.broadcast_to(dofs[col_name][:, None, :], mats.shape)
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.ascontiguousarray(mats).ravel())
 
     # --- primal-primal ------------------------------------------------
     if al:
@@ -462,9 +541,7 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     if w_b is not None:
         add("mu", "mu", dd * np.einsum("tq,tqi,tqj->tij", w_b, div_v, div_v))
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dofs, n_dofs)).tocsr()
+    matrix = blocks.csr()
 
     # --- right-hand side -------------------------------------------------
     rhs = np.zeros(n_dofs)
@@ -605,24 +682,53 @@ def apply_dirichlet(system, data):
     the input is untouched.
     """
     idx, val = dirichlet_values(system, data)
-    n = system.n_dofs
-    lifted = np.array(system.rhs)
-    if len(idx):
-        x_bc = np.zeros(n)
-        x_bc[idx] = val
-        lifted -= system.matrix @ x_bc
-        keep = np.ones(n)
-        keep[idx] = 0.0
-        d_keep = sp.diags(keep)
-        matrix = (d_keep @ system.matrix @ d_keep
-                  + sp.diags(1.0 - keep)).tocsr()
-        lifted[idx] = val
-    else:
-        matrix = system.matrix.copy()
-    return BlockSystem(matrix=matrix, rhs=lifted, offsets=system.offsets,
-                       n_dofs=n, spaces=system.spaces,
+    matrix, rhs = _eliminate(system.matrix, system.rhs, idx, val)
+    return BlockSystem(matrix=matrix, rhs=rhs, offsets=system.offsets,
+                       n_dofs=system.n_dofs, spaces=system.spaces,
                        symmetric_variant=system.symmetric_variant,
                        constrained=(idx, val))
+
+
+def _eliminate(matrix, rhs, idx, val):
+    """Copies of the matrix and the load with the dofs ``idx`` fixed to
+    ``val``.
+
+    The constrained rows and columns are zeroed in the CSR data and the
+    stored zeros dropped, so the matrix equals ``D A D + (I - D)``, D
+    the free-dof indicator, without forming those products.
+    """
+    matrix = sp.csr_matrix(matrix, copy=True)
+    lifted = np.array(rhs, dtype=float)
+    if not len(idx):
+        return matrix, lifted
+    matrix.sum_duplicates()
+    n = matrix.shape[0]
+    indptr, indices, values = matrix.indptr, matrix.indices, matrix.data
+    fixed = np.zeros(n, dtype=bool)
+    fixed[idx] = True
+    x_bc = np.zeros(n)
+    x_bc[idx] = val
+    # lift with the stored entries of the constrained columns only
+    at = np.flatnonzero(np.take(fixed, indices))
+    rows = np.searchsorted(indptr, at, side="right") - 1
+    lifted -= np.bincount(rows, weights=values[at] * x_bc[indices[at]],
+                          minlength=n)
+    lifted[idx] = val
+    values[at] = 0.0
+    values[np.repeat(fixed, np.diff(indptr))] = 0.0
+    # The unit diagonal takes the first slot of its row, whose other
+    # entries are now zero; that also covers rows with no stored
+    # diagonal (natural has no u-u block).
+    first = indptr[idx]
+    stored = indptr[idx + 1] > first
+    indices[first[stored]] = idx[stored]
+    values[first[stored]] = 1.0
+    matrix.eliminate_zeros()
+    empty = idx[~stored]
+    if len(empty):
+        matrix = matrix + sp.csr_matrix(
+            (np.ones(len(empty)), (empty, empty)), shape=matrix.shape)
+    return matrix, lifted
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +744,6 @@ def stability_norm_matrix(spaces, kappa, h):
     """
     rule = quadrature(min(10, 2 * spaces.max_degree() + 1))
     tab = _Tabulation(spaces, rule)
-    offsets, n_dofs = spaces.offsets()
     W = tab.W
     grad_u = tab.grad("u")
     phi_v = tab.phi("e")
@@ -648,19 +753,10 @@ def stability_norm_matrix(spaces, kappa, h):
     vmass = _vector_mass(W, phi_v, phi_v)
     divg = np.einsum("tq,tqi,tqj->tij", W, div_v, div_v)
 
-    blocks = {
-        "u": stiff,
-        "e": vmass,
-        "s": kappa * vmass + kappa * h ** 2 * divg,
-        "lam": stiff / kappa,
-        "mu": vmass + h ** 2 * divg,
-    }
-    rows, cols, vals = [], [], []
-    for name, mats in blocks.items():
-        gd = spaces.by_name(name).element_dofs() + offsets[name]
-        rows.append(np.broadcast_to(gd[:, :, None], mats.shape).ravel())
-        cols.append(np.broadcast_to(gd[:, None, :], mats.shape).ravel())
-        vals.append(np.ascontiguousarray(mats).ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_dofs, n_dofs)).tocsr()
+    blocks = _BlockMatrix(spaces)
+    blocks.add("u", "u", stiff)
+    blocks.add("e", "e", vmass)
+    blocks.add("s", "s", kappa * vmass + kappa * h ** 2 * divg)
+    blocks.add("lam", "lam", stiff / kappa)
+    blocks.add("mu", "mu", vmass + h ** 2 * divg)
+    return blocks.csr()

@@ -4,7 +4,15 @@ Backed by SuperLU (scipy.sparse.linalg.splu): sparse LU with a
 fill-reducing column ordering and threshold partial pivoting.  The
 contract is a relative residual below 1e-10, enforced with a few steps
 of iterative refinement; systems that cannot meet it raise.
+
+Factors of matrices that come back are reused.  In a data study only
+the right-hand side changes between data sets, so one matrix is solved
+against many loads; see :class:`FactorCache` for which factors are held.
 """
+
+import hashlib
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,11 +30,100 @@ class SingularSystemError(SolverError):
     """Factorization hit a (numerically) singular pivot."""
 
 
-def _as_square_csc(matrix):
-    mat = sp.csc_matrix(matrix)
+def _canonical_csr(matrix):
+    """Square float CSR with sorted indices and no duplicates; explicit
+    zeros stay, so they are part of the matrix's identity."""
+    mat = sp.csr_matrix(matrix)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    if mat.dtype != np.float64:
+        mat = mat.astype(np.float64)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
     return mat
+
+
+def matrix_digest(mat):
+    """blake2b digest of a canonical CSR matrix, read from the arrays'
+    buffers without copying them."""
+    digest = hashlib.blake2b(repr(
+        (mat.shape, mat.indptr.dtype.str, mat.indices.dtype.str,
+         mat.data.dtype.str)).encode())
+    for arr in (mat.indptr, mat.indices, mat.data):
+        digest.update(np.ascontiguousarray(arr))
+    return digest.digest()
+
+
+class FactorCache:
+    """SuperLU factors held for matrices that come back.
+
+    The bound is the largest factor built so far, in entries SuperLU
+    stores for L and U.  A factor is admitted only when its matrix comes
+    back after other matrices whose factors total no more than the
+    bound, i.e. when an LRU cache of that size would still have held it.
+    Held factors are evicted least recently used first so that their
+    total stays within the bound.  A sweep whose matrices come back only
+    after a larger one, or after many others, therefore holds nothing.
+
+    Lookups and bookkeeping take a lock; factorizations run outside it,
+    so concurrent solves of different matrices do not wait on each other.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._held = OrderedDict()     # digest -> SuperLU, least recent first
+        self._recent = OrderedDict()   # digest -> factor nnz, oldest first
+        self.bound = 0
+        self.held_nnz = 0
+
+    def __len__(self):
+        with self._lock:
+            return len(self._held)
+
+    def lookup(self, key):
+        """The held factor for ``key``, or None; marks it recently used."""
+        with self._lock:
+            lu = self._held.get(key)
+            if lu is not None:
+                self._held.move_to_end(key)
+                self._touch(key, lu.nnz)
+            return lu
+
+    def drop(self, key):
+        with self._lock:
+            lu = self._held.pop(key, None)
+            if lu is not None:
+                self.held_nnz -= lu.nnz
+
+    def record(self, key, lu):
+        """Note a fresh factorization of ``key``; hold it if its matrix
+        came back within the bound."""
+        nnz = lu.nnz
+        with self._lock:
+            self.bound = max(self.bound, nnz)
+            returned = key in self._recent
+            self._touch(key, nnz)
+            if key in self._held:
+                self._held.move_to_end(key)
+            elif returned:
+                while self.held_nnz + nnz > self.bound:
+                    self.held_nnz -= self._held.popitem(last=False)[1].nnz
+                self._held[key] = lu
+                self.held_nnz += nnz
+
+    def _touch(self, key, nnz):
+        """Make ``key`` the most recent solve.  A solve with more than
+        the bound of factor nnz solved after it is forgotten: its matrix
+        can no longer come back within the bound."""
+        self._recent[key] = nnz
+        self._recent.move_to_end(key)
+        after = sum(self._recent.values())
+        while after - next(iter(self._recent.values())) > self.bound:
+            after -= self._recent.popitem(last=False)[1]
+
+
+_FACTORS = FactorCache()
 
 
 def residual_norm(matrix, x, rhs):
@@ -41,18 +138,15 @@ def residual_norm(matrix, x, rhs):
     return float(np.linalg.norm(mat @ x - rhs))
 
 
-def solve_direct(matrix, rhs):
-    """Solve A x = b with sparse LU; relative residual <= 1e-10."""
-    mat = _as_square_csc(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (mat.shape[0],):
-        raise ValueError(f"rhs shape {rhs.shape} does not match matrix "
-                         f"dimension {mat.shape[0]}")
+def _factorize(mat):
     try:
-        lu = spla.splu(mat)
+        return spla.splu(mat.tocsc())
     except RuntimeError as err:  # SuperLU reports exact singularity this way
         raise SingularSystemError(f"sparse LU failed: {err}") from err
 
+
+def _refined_solve(lu, mat, rhs):
+    """x from the factor, refined until the residual contract holds."""
     x = lu.solve(rhs)
     scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     for _ in range(_MAX_REFINEMENTS):
@@ -70,6 +164,31 @@ def solve_direct(matrix, rhs):
         raise SingularSystemError(
             "solution contains non-finite entries; the factorization hit "
             "a pivot below working precision")
+    return x
+
+
+def solve_direct(matrix, rhs):
+    """Solve A x = b with sparse LU; relative residual <= 1e-10.
+
+    A held factor of the same matrix (same shape, pattern and stored
+    values) is reused and checked against the same contract; if it fails
+    the check it is dropped and the matrix factorized afresh.
+    """
+    mat = _canonical_csr(matrix)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (mat.shape[0],):
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix "
+                         f"dimension {mat.shape[0]}")
+    key = matrix_digest(mat)
+    lu = _FACTORS.lookup(key)
+    if lu is not None:
+        try:
+            return _refined_solve(lu, mat, rhs)
+        except SolverError:
+            _FACTORS.drop(key)
+    lu = _factorize(mat)
+    x = _refined_solve(lu, mat, rhs)
+    _FACTORS.record(key, lu)
     return x
 
 

@@ -74,8 +74,10 @@ def solve_case(mesh, formulation, case, dataset=None, params=None,
     """Assemble, constrain and solve one problem; returns fields plus
     its error record and second-law audit.
 
-    The assembled matrix is released once solved so sweeps hold only
-    coefficient vectors.
+    The result holds coefficient vectors, not the matrix.  The solver
+    may keep the matrix's LU factor for a later solve of the same
+    matrix, such as the next data set of a data study; see
+    :class:`gradflux.solver.FactorCache` for what it holds.
     """
     data = problem_data_for(case, mesh, dataset)
     system = assemble(mesh, formulation, data, params=params,

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gradflux import elements
+from gradflux import elements, forms
 from gradflux.elements import gauss_legendre_01, interpolate, quadrature
 from gradflux.forms import (ElementField, Formulation, LengthScale,
                             ProblemData, StabilizationParams, apply_dirichlet,
                             assemble, dirichlet_values, stability_norm_matrix,
                             stabilization_lengths)
-from gradflux.manufactured import case1, case3
+from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import Mesh, mesh_size, sector_mesh, unit_square_mesh
 from gradflux.solver import solve_direct
 from gradflux.study import problem_data_for
@@ -426,6 +426,138 @@ def test_natural_gradient_identity():
     W = mesh.jacobian_dets[:, None] * rule.weights[None, :]
     gap = np.sqrt(np.sum(W * np.sum((gu - e) ** 2, axis=-1)))
     assert gap <= 1e-8
+
+
+class TripletReference:
+    """The triplet/COO construction the assembly used to make: every
+    element matrix as (row, column, value) triplets, all concatenated and
+    summed by scipy's COO to CSR conversion."""
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+        self.offsets, self.n_dofs = spaces.offsets()
+        self.rows, self.cols, self.vals = [], [], []
+
+    def dofs(self, name):
+        return self.spaces.by_name(name).element_dofs() + self.offsets[name]
+
+    def add(self, row_name, col_name, mats):
+        self.rows.append(np.broadcast_to(self.dofs(row_name)[:, :, None],
+                                         mats.shape).ravel())
+        self.cols.append(np.broadcast_to(self.dofs(col_name)[:, None, :],
+                                         mats.shape).ravel())
+        self.vals.append(np.ascontiguousarray(mats).ravel())
+
+    def csr(self):
+        return sp.coo_matrix(
+            (np.concatenate(self.vals),
+             (np.concatenate(self.rows), np.concatenate(self.cols))),
+            shape=(self.n_dofs, self.n_dofs)).tocsr()
+
+
+def assert_canonical(mat):
+    """Column indices strictly increase within every row."""
+    steps = np.diff(mat.indices)
+    row_starts = mat.indptr[1:-1]
+    inner = np.ones(len(steps), dtype=bool)
+    inner[row_starts[(row_starts > 0) & (row_starts < mat.nnz)] - 1] = False
+    assert np.all(steps[inner] > 0)
+
+
+def sector_problem():
+    phi = 3 * np.pi / 4
+    mesh = sector_mesh(phi, 3, grading=2.0)
+    return mesh, problem_data_for(case2(phi), mesh)
+
+
+def square_problem():
+    mesh = unit_square_mesh(3)
+    return mesh, problem_data_for(case1(), mesh)
+
+
+@pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_block_assembly_matches_triplet_reference(kind, k, make_problem,
+                                                  monkeypatch):
+    mesh, data = make_problem()
+    form = Formulation(kind, k)
+    system = assemble(mesh, form, data)
+    gram = stability_norm_matrix(form.build_spaces(mesh), 1.3, 0.2)
+    monkeypatch.setattr(forms, "_BlockMatrix", TripletReference)
+    ref_system = assemble(mesh, form, data)
+    ref_gram = stability_norm_matrix(form.build_spaces(mesh), 1.3, 0.2)
+    assert np.array_equal(system.rhs, ref_system.rhs)
+    for mat, ref in ((system.matrix, ref_system.matrix), (gram, ref_gram)):
+        assert_canonical(mat)
+        # same stored pattern, explicit zeros included
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+        # the same terms summed in another order: a few ulps of the
+        # largest entry
+        scale = np.abs(ref.data).max()
+        assert np.abs(mat.data - ref.data).max() <= 8 * np.finfo(float).eps \
+            * scale
+
+
+def reference_elimination(system, data):
+    """The elimination through diagonal products: D A D + (I - D) and a
+    full product for the lifted load."""
+    idx, val = dirichlet_values(system, data)
+    n = system.n_dofs
+    x_bc = np.zeros(n)
+    x_bc[idx] = val
+    lifted = system.rhs - system.matrix @ x_bc
+    lifted[idx] = val
+    keep = np.ones(n)
+    keep[idx] = 0.0
+    d_keep = sp.diags(keep)
+    matrix = (d_keep @ system.matrix @ d_keep
+              + sp.diags(1.0 - keep)).tocsr()
+    matrix.sort_indices()
+    return matrix, lifted
+
+
+@pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_elimination_matches_diagonal_products(kind, k, make_problem):
+    mesh, data = make_problem()
+    system = assemble(mesh, Formulation(kind, k), data)
+    before = system.matrix.copy()
+    constrained = apply_dirichlet(system, data)
+    matrix, lifted = reference_elimination(system, data)
+    assert_canonical(constrained.matrix)
+    assert np.array_equal(constrained.matrix.indptr, matrix.indptr)
+    assert np.array_equal(constrained.matrix.indices, matrix.indices)
+    assert np.array_equal(constrained.matrix.data, matrix.data)
+    assert np.allclose(constrained.rhs, lifted, rtol=0.0,
+                       atol=1e-14 * np.abs(lifted).max())
+    # the input is untouched
+    assert (system.matrix != before).nnz == 0
+    assert system.matrix.nnz == before.nnz
+
+
+def test_elimination_inserts_a_missing_diagonal():
+    mesh, data = square_problem()
+    system = assemble(mesh, Formulation("natural", 0), data)
+    dofs, _ = dirichlet_values(system, data)
+    # natural stores no u-u block: no constrained u row has a diagonal
+    u_rows = dofs[dofs < system.offsets["e"]]
+    assert all(system.matrix[i, i] == 0.0 for i in u_rows)
+    # and a constrained row without any stored entry still gets one
+    emptied = sp.csr_matrix(system.matrix, copy=True)
+    emptied.data[emptied.indptr[u_rows[0]]:emptied.indptr[u_rows[0] + 1]] = 0
+    emptied.eliminate_zeros()
+    system.matrix = emptied
+    constrained = apply_dirichlet(system, data)
+    matrix, lifted = reference_elimination(system, data)
+    assert_canonical(constrained.matrix)
+    assert np.array_equal(constrained.matrix.indptr, matrix.indptr)
+    assert np.array_equal(constrained.matrix.indices, matrix.indices)
+    assert np.array_equal(constrained.matrix.data, matrix.data)
+    for i in dofs:
+        assert constrained.matrix[i, i] == 1.0
 
 
 def test_assembly_is_deterministic():

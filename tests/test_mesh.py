@@ -107,12 +107,15 @@ def test_mesh_arrays_frozen():
         mesh.triangles[0, 0] = 5
 
 
-def test_edge_manifold_enforced():
-    # an edge shared by three triangles is rejected
+def test_undeclared_single_triangle_edge_rejected():
+    # no edge here has more than two triangles; edge (0, 2) bounds only
+    # triangle 0 and no boundary edge is declared
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                          [0.5, -1.0]])
     triangles = np.array([[0, 1, 2], [1, 3, 2], [0, 1, 3]])
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(MeshFormatError,
+                       match=r"edge \(0, 2\) bounds a single triangle but "
+                             "is not declared"):
         Mesh(vertices, triangles, np.empty((0, 2), dtype=int), [])
 
 

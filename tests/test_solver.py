@@ -1,9 +1,55 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from gradflux.solver import (SingularSystemError, residual_norm,
-                             solve_direct, write_matrix_coo)
+from gradflux import solver
+from gradflux.forms import Formulation, apply_dirichlet, assemble
+from gradflux.manufactured import case1, case3
+from gradflux.mesh import unit_square_mesh
+from gradflux.solver import (FactorCache, SingularSystemError, matrix_digest,
+                             residual_norm, solve_direct, write_matrix_coo)
+from gradflux.study import problem_data_for
+
+
+@pytest.fixture(autouse=True)
+def factors(monkeypatch):
+    """A fresh factor cache for every test."""
+    cache = FactorCache()
+    monkeypatch.setattr(solver, "_FACTORS", cache)
+    return cache
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Factor nnz of every fresh factorization, in call order."""
+    built = []
+    fresh = solver._factorize
+
+    def counting(mat):
+        lu = fresh(mat)
+        built.append(lu.nnz)
+        return lu
+
+    monkeypatch.setattr(solver, "_factorize", counting)
+    return built
+
+
+def constrained_system(case, kind, k, n):
+    mesh = unit_square_mesh(n)
+    data = problem_data_for(case, mesh)
+    return apply_dirichlet(assemble(mesh, Formulation(kind, k), data), data)
+
+
+def dominant_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    mat = sp.random(n, n, density=0.05, random_state=rng, format="lil")
+    mat.setdiag(8.0 + rng.random(n))
+    return mat.tocsr()
 
 
 def test_identity_solve():
@@ -102,3 +148,168 @@ def test_matrix_dump_round_trip(tmp_path):
         i, j, v = line.split()
         entries[(int(i), int(j))] = float(v)
     assert entries == {(0, 0): 1.5, (1, 0): 2.0, (1, 1): -3.25}
+
+
+# ----------------------------------------------------------------------
+# factor reuse
+
+
+def test_hit_returns_the_fresh_solution_bitwise(factors, factorizations):
+    system = constrained_system(case3(), "eo_full", 0, 4)
+    rhs = np.random.default_rng(20).standard_normal(system.n_dofs)
+    solve_direct(system.matrix, system.rhs)
+    solve_direct(system.matrix, system.rhs)      # comes back: admitted
+    assert len(factors) == 1 and len(factorizations) == 2
+    x_hit = solve_direct(system.matrix, rhs)
+    assert len(factorizations) == 2
+    lu = spla.splu(system.matrix.tocsc())
+    x_fresh = solver._refined_solve(lu, system.matrix, rhs)
+    assert np.array_equal(x_hit, x_fresh)
+
+
+def test_changed_value_or_explicit_zero_is_a_miss(factors, factorizations):
+    mat = dominant_matrix(60, 21)
+    rhs = np.ones(60)
+    for _ in range(3):
+        solve_direct(mat, rhs)
+    assert len(factorizations) == 2 and len(factors) == 1
+
+    nudged = mat.copy()
+    nudged.data[7] = np.nextafter(nudged.data[7], np.inf)
+    # one explicit zero more, at a position the pattern does not store
+    row = 3
+    lo, hi = mat.indptr[row], mat.indptr[row + 1]
+    col = next(c for c in range(60) if c not in mat.indices[lo:hi])
+    padded = sp.csr_matrix((np.insert(mat.data, lo, 0.0),
+                            np.insert(mat.indices, lo, col),
+                            mat.indptr + (np.arange(61) > row)),
+                           shape=mat.shape)
+    padded.sort_indices()
+    assert abs(padded - mat).max() == 0.0 and padded.nnz == mat.nnz + 1
+    for other in (nudged, padded):
+        assert matrix_digest(other) != matrix_digest(mat)
+        before = len(factorizations)
+        x = solve_direct(other, rhs)
+        assert len(factorizations) == before + 1
+        assert residual_norm(other, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_sweep_cycle_holds_no_factor(factors, factorizations):
+    # two sweeps of four growing meshes, as in a convergence study: each
+    # matrix returns only after seven others, among them a larger one or
+    # several whose factors outweigh it
+    systems = [constrained_system(case1(), kind, 1, n)
+               for kind, sizes in (("eo_full", (2, 4, 6, 8)),
+                                   ("natural", (2, 4, 6, 9)))
+               for n in sizes]
+    for _ in range(3):
+        for system in systems:
+            solve_direct(system.matrix, system.rhs)
+            assert len(factors) == 0 and factors.held_nnz == 0
+    assert len(factorizations) == 24
+    assert factors.bound == max(factorizations)
+
+
+def test_data_study_cycle_holds_what_fits_the_bound(factors,
+                                                    factorizations):
+    # four data sets, each swept over the same three meshes: only the
+    # data (the right-hand side) change
+    systems = [constrained_system(case3(), "eo_full", 0, n)
+               for n in (3, 6, 12)]
+    rng = np.random.default_rng(22)
+    loads = [rng.standard_normal(systems[-1].n_dofs) for _ in range(4)]
+    for load in loads:
+        for system in systems:
+            rhs = load[:system.n_dofs]
+            x = solve_direct(system.matrix, rhs)
+            assert residual_norm(system.matrix, x, rhs) \
+                <= 1e-10 * np.linalg.norm(rhs)
+    largest = matrix_digest(solver._canonical_csr(systems[-1].matrix))
+    assert list(factors._held) == [largest]
+    assert factors.held_nnz == factors.bound == max(factorizations)
+    # the finest matrix was factorized twice, the two others every time
+    assert len(factorizations) == 4 * 2 + 2
+
+
+def test_held_nnz_never_exceeds_the_largest_factor(factors, factorizations):
+    matrices = [dominant_matrix(n, seed)
+                for seed, n in enumerate((40, 80, 120, 160, 200, 30))]
+    rng = np.random.default_rng(23)
+    for i in rng.integers(0, len(matrices), size=120):
+        solve_direct(matrices[i], np.ones(matrices[i].shape[0]))
+        assert factors.held_nnz <= factors.bound == max(factorizations)
+        assert factors.held_nnz == sum(lu.nnz
+                                       for lu in factors._held.values())
+    assert len(factors) > 0
+    assert len(factorizations) < 120
+
+
+class Corrupted:
+    """A factor that returns a wrong solution."""
+
+    def __init__(self, lu):
+        self.nnz = lu.nnz
+        self._lu = lu
+
+    def solve(self, rhs):
+        return 2.0 * self._lu.solve(rhs)
+
+
+def test_corrupted_factor_is_refactorized(factors, factorizations,
+                                         monkeypatch):
+    mat = dominant_matrix(80, 24)
+    rhs = np.random.default_rng(25).standard_normal(80)
+    x_good = solve_direct(mat, rhs)
+    solve_direct(mat, rhs)
+    key = matrix_digest(mat)
+    monkeypatch.setitem(factors._held, key, Corrupted(factors._held[key]))
+    assert len(factorizations) == 2
+    x = solve_direct(mat, rhs)
+    assert len(factorizations) == 3
+    assert np.array_equal(x, x_good)
+    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert not isinstance(factors._held[key], Corrupted)
+
+
+def test_singular_matrix_is_never_cached(factors):
+    mat = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    for _ in range(3):
+        with pytest.raises(SingularSystemError):
+            solve_direct(mat, np.array([1.0, 1.0]))
+    assert len(factors) == 0 and factors.bound == 0
+    assert not factors._recent
+
+
+def test_concurrent_solves_keep_the_books(factors):
+    matrices = [dominant_matrix(n, 30 + n) for n in (50, 90, 130, 170)]
+    rhs = [np.random.default_rng(n).standard_normal(n)
+           for n in (50, 90, 130, 170)]
+    expected = [solver._refined_solve(spla.splu(m.tocsc()), m, b)
+                for m, b in zip(matrices, rhs)]
+    errors = []
+    lock = threading.Lock()
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(0, 4, size=40)
+        for i in order:
+            x = solve_direct(matrices[i], rhs[i])
+            if not np.array_equal(x, expected[i]):
+                with lock:
+                    errors.append(i)
+            held = factors.held_nnz
+            if held > factors.bound:
+                with lock:
+                    errors.append(("held", held))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(work, seed) for seed in range(6)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert factors.held_nnz == sum(lu.nnz for lu in factors._held.values())
+    assert factors.held_nnz <= factors.bound

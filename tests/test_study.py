@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradflux import solver
 from gradflux.forms import Formulation
 from gradflux.manufactured import case1, case2, case3
 from gradflux.study import (convergence_study, interpolation_study,
@@ -92,15 +93,20 @@ def test_solve_case_returns_record():
     assert res.h == pytest.approx(np.sqrt(2) / 6)
 
 
-def test_convergence_study_rows_and_threads():
+def test_convergence_study_rows_and_threads(monkeypatch):
+    monkeypatch.setattr(solver, "_FACTORS", solver.FactorCache())
     case = case3()
     meshes = square_meshes([4, 8, 16])
     serial, _ = convergence_study(case, Formulation("natural", 0), meshes)
-    threaded, _ = convergence_study(case, Formulation("natural", 0),
-                                    meshes, threads=2)
-    assert [r["h"] for r in serial.rows] == [r["h"] for r in threaded.rows]
-    for mine, other in zip(serial.rows, threaded.rows):
-        assert mine == other
+    # the second threaded study reuses the factor the first one admitted
+    for _ in range(2):
+        threaded, _ = convergence_study(case, Formulation("natural", 0),
+                                        meshes, threads=2)
+        assert [r["h"] for r in serial.rows] == \
+            [r["h"] for r in threaded.rows]
+        for mine, other in zip(serial.rows, threaded.rows):
+            assert mine == other
+    assert len(solver._FACTORS) == 1
     assert serial.rows[0]["h"] > serial.rows[-1]["h"]
     assert serial.rates()["u_L2"] == pytest.approx(2.0, abs=0.3)
 
