@@ -16,7 +16,7 @@ from .forms import (StabilizationParams, LengthScale, Formulation,
                     assemble, apply_dirichlet, stabilization_lengths,
                     stability_norm_matrix)
 from .solver import (SolverError, SingularSystemError, solve_direct,
-                     residual_norm, write_matrix_coo)
+                     residual_norm)
 from .manufactured import (ManufacturedCase, case1, case2, case3,
                            verify_strong_system)
 from .data_assign import (DataSet, build_dataset, assign_to_elements,
@@ -36,7 +36,6 @@ __all__ = [
     "BlockSystem", "ElementField", "SpaceSet", "assemble", "apply_dirichlet",
     "stabilization_lengths", "stability_norm_matrix",
     "SolverError", "SingularSystemError", "solve_direct", "residual_norm",
-    "write_matrix_coo",
     "ManufacturedCase", "case1", "case2", "case3", "verify_strong_system",
     "DataSet", "build_dataset", "assign_to_elements", "write_dataset_csv",
     "StudyReport", "error_norms", "convergence_rate", "second_law_audit",

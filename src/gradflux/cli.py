@@ -7,6 +7,7 @@ failure (solver breakdown or a failing verification check).
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -31,6 +32,29 @@ class ConfigError(ValueError):
     """Configuration failed validation; message names the field."""
 
 
+def _number(field, value, integer=False):
+    """``value`` as a float, or as an int when ``integer``.
+
+    Raises a ConfigError that names the field and shows the value given
+    unless it is a real number, and an integral one when ``integer``.
+    Ranges, which also reject NaN and infinity, are checked per field.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(field, values):
+    if not isinstance(values, list):
+        raise ConfigError(f"{field}: expected a list of integers, "
+                          f"got {values!r}")
+    return [_number(field, v, integer=True) for v in values]
+
+
 class RunConfig:
     """Validated run configuration.
 
@@ -40,7 +64,8 @@ class RunConfig:
         formulation: "natural" | "eo_unstab" | "eo_min" | "eo_full"
         k:           0 | 1 | 2
         mesh:        {"sizes": [..], "grading": <real>=1>}
-        kappa, zeta: positive reals (default 1)
+        kappa:       positive real (default 1)
+        zeta:        real >= 0 (default 1)
         stabilization: optional coefficient overrides
         nd_list:     data-study sampling resolutions
         quad_exactness, output, seed, fd_step: optional
@@ -56,13 +81,13 @@ class RunConfig:
             raise ConfigError(f"case.name: expected one of {_CASES}, "
                               f"got {case.get('name')!r}")
         self.case_name = case["name"]
-        self.phi = float(case.get("phi", np.pi / 2))
+        self.phi = _number("case.phi", case.get("phi", np.pi / 2))
         if self.case_name == "case2" and not 0.0 < self.phi < np.pi:
             raise ConfigError(f"case.phi: must lie in (0, pi), "
                               f"got {self.phi}")
         self.nd = case.get("nd")
         if self.nd is not None:
-            self.nd = int(self.nd)
+            self.nd = _number("case.nd", self.nd, integer=True)
             if self.nd < 1:
                 raise ConfigError(f"case.nd: must be >= 1, got {self.nd}")
 
@@ -71,25 +96,31 @@ class RunConfig:
             raise ConfigError(f"formulation: expected one of "
                               f"{FORMULATION_KINDS}, got {kind!r}")
         self.kind = kind
-        self.k = int(raw.get("k", 0))
+        self.k = _number("k", raw.get("k", 0), integer=True)
         if self.k not in (0, 1, 2):
             raise ConfigError(f"k: expected 0, 1 or 2, got {self.k}")
         if self.case_name in ("case2", "case3") and self.k != 0:
             raise ConfigError(f"k: {self.case_name} studies use k = 0 only")
 
         mesh = raw.get("mesh", {})
-        self.sizes = [int(n) for n in mesh.get("sizes", [8, 16, 32])]
+        self.sizes = _integers("mesh.sizes", mesh.get("sizes", [8, 16, 32]))
         if any(n < 1 for n in self.sizes):
             raise ConfigError("mesh.sizes: entries must be >= 1")
-        self.grading = float(mesh.get("grading", 2.0))
+        self.grading = _number("mesh.grading", mesh.get("grading", 2.0))
         if not self.grading >= 1.0:
             raise ConfigError(f"mesh.grading: must be >= 1, "
                               f"got {self.grading}")
+        if self.grading == np.inf:
+            raise ConfigError("mesh.grading: must be finite, got inf")
 
-        self.kappa = float(raw.get("kappa", 1.0))
-        if self.kappa <= 0.0:
-            raise ConfigError(f"kappa: must be positive, got {self.kappa}")
-        self.zeta = float(raw.get("zeta", 1.0))
+        self.kappa = _number("kappa", raw.get("kappa", 1.0))
+        if not 0.0 < self.kappa < np.inf:
+            raise ConfigError(f"kappa: must be a positive finite number, "
+                              f"got {self.kappa}")
+        self.zeta = _number("zeta", raw.get("zeta", 1.0))
+        if not 0.0 <= self.zeta < np.inf:
+            raise ConfigError(f"zeta: must be a finite number >= 0, "
+                              f"got {self.zeta}")
 
         stab = raw.get("stabilization")
         if stab is not None:
@@ -100,12 +131,20 @@ class RunConfig:
         else:
             self.stabilization = None
 
-        self.nd_list = [int(v) for v in raw.get("nd_list", [])]
+        self.nd_list = _integers("nd_list", raw.get("nd_list", []))
+        if any(nd < 1 for nd in self.nd_list):
+            raise ConfigError("nd_list: entries must be >= 1")
         qe = raw.get("quad_exactness")
-        self.quad_exactness = None if qe is None else int(qe)
+        self.quad_exactness = None if qe is None else \
+            _number("quad_exactness", qe, integer=True)
+        if qe is not None and not 1 <= self.quad_exactness <= 10:
+            raise ConfigError(f"quad_exactness: expected 1..10, "
+                              f"got {self.quad_exactness}")
         self.output = raw.get("output", "out")
-        self.seed = int(raw.get("seed", 0))
-        self.fd_step = float(raw.get("fd_step", 1e-5))
+        self.seed = _number("seed", raw.get("seed", 0), integer=True)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        self.fd_step = _number("fd_step", raw.get("fd_step", 1e-5))
         if not 0.0 < self.fd_step < np.inf:
             raise ConfigError(f"fd_step: must be a positive finite number, "
                               f"got {self.fd_step}")
@@ -199,7 +238,7 @@ def cmd_solve(config, out_dir, threads=1):
     if dataset is not None:
         write_dataset_csv(dataset, os.path.join(out_dir, "dataset.csv"))
     print(f"solved {case.name} / {config.kind} (k={config.k}) "
-          f"h={res.h:.4g} dofs={res.n_dofs}")
+          f"h={res.h:.4g} dofs={res.n_dofs} solved={res.n_solved}")
     print(f"u_L2={res.errors['u_L2']:.4e} second-law violations={count}")
     return 0
 
@@ -346,22 +385,11 @@ def _patch_case():
 
 
 def check_patch(check, config):
-    from .forms import apply_dirichlet
-    from .solver import solve_direct
-    from .postproc import error_norms
-
     patch = _patch_case()
     mesh = unit_square_mesh(4)
-    tags = ("left", "right", "bottom", "top")
     for kind in FORMULATION_KINDS:
-        data = ProblemData(kappa=1.0, zeta=0.0, q=0.0, f=0.0,
-                           e_data=patch.e_data, s_data=patch.s_data,
-                           dirichlet={t: (patch.u, patch.lam)
-                                      for t in tags})
-        system = apply_dirichlet(assemble(mesh, Formulation(kind, 0), data),
-                                 data)
-        sol = system.split(solve_direct(system.matrix, system.rhs))
-        worst = max(error_norms(system.spaces, sol, patch).values())
+        res = solve_case(mesh, Formulation(kind, 0), patch)
+        worst = max(res.errors.values())
         check(f"patch test: {kind}", worst <= 1e-8,
               f"worst norm {worst:.2e}")
 

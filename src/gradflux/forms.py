@@ -14,6 +14,7 @@ potential equation load and the multiplier-balance misfit so the method
 stays consistent with source-augmented manufactured solutions.
 """
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -48,8 +49,9 @@ class LengthScale:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise ValueError(f"unknown length-scale mode {self.mode!r}")
-        if self.mode == "fixed" and self.value < 0.0:
-            raise ValueError("fixed length scale must be >= 0")
+        if self.mode == "fixed" and not 0.0 <= self.value < np.inf:
+            raise ValueError(f"fixed length scale must be a finite number "
+                             f">= 0, got {self.value}")
 
     @classmethod
     def per_element(cls):
@@ -84,8 +86,10 @@ class StabilizationParams:
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "eta", "theta", "beta"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, "
+                                 f"got {value}")
         if self.gamma >= 1.0:
             raise ValueError(f"gamma must be < 1, got {self.gamma}")
         if self.eta >= 1.0:
@@ -230,8 +234,13 @@ class ProblemData:
     neumann: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be a positive finite number, "
+                             f"got {self.kappa}")
+        if isinstance(self.zeta, numbers.Real) and \
+                not 0.0 <= self.zeta < np.inf:
+            raise ValueError(f"zeta must be a finite number >= 0, "
+                             f"got {self.zeta}")
         both = set(self.dirichlet) & set(self.neumann)
         if both:
             raise ValueError(
@@ -298,6 +307,20 @@ class BlockSystem:
     def block(self, row_name, col_name):
         return self.matrix[self.field_slice(row_name),
                            self.field_slice(col_name)]
+
+    def local_dofs(self):
+        """(nt, m) global dofs of e, s and mu per element when their
+        space is DG, else an (nt, 0) array.
+
+        Every term among the vector fields is a volume integral, so with
+        element-supported bases they couple only within an element;
+        boundary terms and Dirichlet conditions touch u and lambda only.
+        """
+        if self.spaces.e.family != "DG":
+            return np.empty((self.spaces.mesh.n_triangles, 0),
+                            dtype=np.int64)
+        return np.hstack([self.spaces.by_name(name).element_dofs()
+                          + self.offsets[name] for name in ("e", "s", "mu")])
 
     def split(self, vector):
         """Slice a full dof vector into per-field coefficient arrays."""

@@ -14,7 +14,7 @@ from .forms import ProblemData, apply_dirichlet, assemble
 from .mesh import mesh_size, sector_mesh, unit_square_mesh
 from .postproc import (ERROR_COLUMNS, StudyReport, error_norms,
                        scalar_error_norms, second_law_audit)
-from .solver import solve_direct
+from .solver import condense, solve_direct
 
 
 def problem_data_for(case, mesh, dataset=None):
@@ -66,6 +66,7 @@ class SolveResult:
     audit: tuple
     h: float
     n_dofs: int
+    n_solved: int      # unknowns handed to solve_direct
 
 
 def solve_case(mesh, formulation, case, dataset=None, params=None,
@@ -73,9 +74,17 @@ def solve_case(mesh, formulation, case, dataset=None, params=None,
     """Assemble, constrain and solve one problem; returns fields plus
     its error record and second-law audit.
 
+    Every solve takes one path: the element-local unknowns of the
+    system (e, s and mu when they are DG, as in ``natural``; none for
+    the equal-order formulations) are condensed out element by element,
+    ``solve_direct`` solves the remaining Schur system, and the local
+    unknowns are recovered and checked against the residual contract on
+    the full constrained system.  ``n_solved`` counts the unknowns
+    ``solve_direct`` saw.
+
     The result holds coefficient vectors, not the matrix.  The solver
-    may keep the matrix's LU factor for a later solve of the same
-    matrix, such as the next data set of a data study; see
+    may keep the LU factor of the solved matrix for a later solve of the
+    same matrix, such as the next data set of a data study; see
     :class:`gradflux.solver.FactorCache` for what it holds.
     """
     data = problem_data_for(case, mesh, dataset)
@@ -83,14 +92,17 @@ def solve_case(mesh, formulation, case, dataset=None, params=None,
                       quad_exactness=quad_exactness)
     constrained = apply_dirichlet(system, data)
     del system
-    x = solve_direct(constrained.matrix, constrained.rhs)
+    matrix, rhs, recover = condense(constrained.matrix, constrained.rhs,
+                                    constrained.local_dofs())
+    x = recover(solve_direct(matrix, rhs))
     solution = constrained.split(x)
     errors = error_norms(constrained.spaces, solution, case,
                          quad_exactness=quad_exactness)
     audit = second_law_audit(constrained.spaces, solution)
     return SolveResult(mesh=mesh, spaces=constrained.spaces,
                        solution=solution, errors=errors, audit=audit,
-                       h=mesh_size(mesh), n_dofs=constrained.n_dofs)
+                       h=mesh_size(mesh), n_dofs=constrained.n_dofs,
+                       n_solved=len(rhs))
 
 
 def square_meshes(sizes):

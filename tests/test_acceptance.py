@@ -52,6 +52,12 @@ CRIT5_SIZES = (4, 8, 16, 32)
 CRIT6_DATA_SIZES = (19, 37, 75, 101, 113)   # non-commensurate with nd=64
 CRIT6_EXACT_SIZES = (8, 16, 32, 64)
 
+# The two heaviest sweeps (criteria 3 and 6, nearly all sparse LU) solve
+# two meshes at a time: SuperLU releases the GIL, and the solves of a
+# sweep are independent.  Peak memory is the finest factor plus one
+# coarser one.
+SWEEP_THREADS = 2
+
 AUDIT_TOL = 1e-10        # s.e above this violates the second law
 STATIONARY_TOL = 1e-8    # |exact gradient| below this: a stationary point
 
@@ -128,7 +134,7 @@ def crit3_sweeps():
         meshes = square_meshes(sizes)
         for kind in EO_KINDS:
             report, results = convergence_study(case, Formulation(kind, k),
-                                                meshes)
+                                                meshes, threads=SWEEP_THREADS)
             collect_audits(f"case1 {kind} k={k}", case, results)
             out[(kind, k)] = report
     return out
@@ -164,7 +170,8 @@ def crit6_data_sweeps():
     out = {}
     for kind in ALL_KINDS:
         report, results = convergence_study(case, Formulation(kind, 0),
-                                            meshes, dataset=dataset)
+                                            meshes, dataset=dataset,
+                                            threads=SWEEP_THREADS)
         # sampled data stagnate by design: location rule only
         collect_audits(f"case3 nd=64 {kind}", case, results,
                        exact_data=False)

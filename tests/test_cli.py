@@ -194,3 +194,58 @@ def test_deterministic_solves_are_byte_identical(tmp_path):
         outputs.append((out / "field_u.csv").read_bytes()
                        + (out / "report.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_solve_prints_the_unknowns_solved(tmp_path, capsys):
+    path = write_config(tmp_path, {"formulation": "natural", "k": 1,
+                                   "mesh": {"sizes": [2]}})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    # 8 elements of 18 condensed e, s and mu dofs each leave u and lambda
+    assert "dofs=194 solved=50" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"zeta": float("nan")}, "zeta: must be a finite number >= 0, got nan"),
+    ({"zeta": float("inf")}, "zeta: must be a finite number >= 0, got inf"),
+    ({"kappa": float("inf")},
+     "kappa: must be a positive finite number, got inf"),
+] + [({"formulation": "eo_min", "stabilization": {name: float("nan")}},
+      f"stabilization: {name} must be a finite number >= 0, got nan")
+     for name in ("alpha", "gamma", "eta", "theta", "beta")])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, payload,
+                                              message):
+    path = write_config(tmp_path, {**payload, "mesh": {"sizes": [2]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"k": 1.5}, "k: expected an integer, got 1.5"),
+    ({"mesh": {"sizes": [2.7]}}, "mesh.sizes: expected an integer, got 2.7"),
+    ({"mesh": {"sizes": 4}}, "mesh.sizes: expected a list of integers, "
+                             "got 4"),
+    ({"case": {"name": "case3", "nd": 0.5}},
+     "case.nd: expected an integer, got 0.5"),
+    ({"nd_list": [4, 2.5]}, "nd_list: expected an integer, got 2.5"),
+    ({"quad_exactness": 4.5}, "quad_exactness: expected an integer, got 4.5"),
+    ({"seed": 0.5}, "seed: expected an integer, got 0.5"),
+    ({"seed": float("nan")}, "seed: expected an integer, got nan"),
+    ({"k": True}, "k: expected a number, got True"),
+    ({"kappa": "2"}, "kappa: expected a number, got '2'"),
+])
+def test_numbers_of_the_wrong_kind_are_config_errors(payload, message):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(payload)
+    assert message in str(err.value)
+
+
+def test_integral_floats_are_accepted():
+    config = RunConfig({"k": 2.0, "mesh": {"sizes": [4.0]}, "seed": 3.0,
+                        "quad_exactness": 5.0, "nd_list": [2.0]})
+    assert (config.k, config.sizes, config.seed) == (2, [4], 3)
+    assert (config.quad_exactness, config.nd_list) == (5, [2])
+    assert isinstance(config.k, int)

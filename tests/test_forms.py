@@ -128,6 +128,26 @@ def test_problem_data_validation():
         data.check_tags(unit_square_mesh(1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kappa": np.inf}, "kappa must be a positive finite number, got inf"),
+    ({"kappa": np.nan}, "kappa must be a positive finite number, got nan"),
+    ({"zeta": np.nan}, "zeta must be a finite number >= 0, got nan"),
+    ({"zeta": -np.inf}, "zeta must be a finite number >= 0, got -inf"),
+])
+def test_problem_data_rejects_non_finite_coefficients(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ProblemData(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["alpha", "gamma", "eta", "theta", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_stabilization_rejects_non_finite_coefficients(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        StabilizationParams(**{name: value})
+    with pytest.raises(ValueError, match="fixed length scale"):
+        LengthScale.fixed(value)
+
+
 def test_element_field_validation():
     mesh = unit_square_mesh(1)
     ElementField(mesh, np.zeros(2))

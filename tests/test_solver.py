@@ -8,11 +8,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gradflux import solver
-from gradflux.forms import Formulation, apply_dirichlet, assemble
-from gradflux.manufactured import case1, case3
-from gradflux.mesh import unit_square_mesh
-from gradflux.solver import (FactorCache, SingularSystemError, matrix_digest,
-                             residual_norm, solve_direct, write_matrix_coo)
+from gradflux.forms import (Formulation, StabilizationParams,
+                            apply_dirichlet, assemble)
+from gradflux.manufactured import case1, case2, case3
+from gradflux.mesh import sector_mesh, unit_square_mesh
+from gradflux.solver import (FactorCache, SingularSystemError, SolverError,
+                             condense, matrix_digest, residual_norm,
+                             solve_direct)
 from gradflux.study import problem_data_for
 
 
@@ -39,10 +41,11 @@ def factorizations(monkeypatch):
     return built
 
 
-def constrained_system(case, kind, k, n):
-    mesh = unit_square_mesh(n)
+def constrained_system(case, kind, k, n=None, mesh=None, params=None):
+    mesh = unit_square_mesh(n) if mesh is None else mesh
     data = problem_data_for(case, mesh)
-    return apply_dirichlet(assemble(mesh, Formulation(kind, k), data), data)
+    return apply_dirichlet(assemble(mesh, Formulation(kind, k), data,
+                                    params=params), data)
 
 
 def dominant_matrix(n, seed):
@@ -135,19 +138,6 @@ def test_permutation_invariance():
     mat_p = p @ mat @ p.T
     x_p = solve_direct(mat_p, p @ b)
     assert np.linalg.norm(p.T @ x_p - x) <= 1e-9 * np.linalg.norm(x)
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    mat = sp.csr_matrix(np.array([[1.5, 0.0], [2.0, -3.25]]))
-    path = tmp_path / "matrix.txt"
-    write_matrix_coo(mat, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    entries = {}
-    for line in lines[1:]:
-        i, j, v = line.split()
-        entries[(int(i), int(j))] = float(v)
-    assert entries == {(0, 0): 1.5, (1, 0): 2.0, (1, 1): -3.25}
 
 
 # ----------------------------------------------------------------------
@@ -313,3 +303,83 @@ def test_concurrent_solves_keep_the_books(factors):
     assert not errors
     assert factors.held_nnz == sum(lu.nnz for lu in factors._held.values())
     assert factors.held_nnz <= factors.bound
+
+
+# ----------------------------------------------------------------------
+# static condensation
+
+# natural's DG vector fields are condensed on: case 1 on the square, with
+# its Neumann sides; case 2 on a graded sector; case 1 again with every
+# stabilization coefficient on, which adds divergence terms to the
+# element blocks and couples u and lambda to s and mu
+CONDENSED_PROBLEMS = {
+    "square-case1": lambda: (unit_square_mesh(4), case1(kappa=1.3, zeta=0.7),
+                             None),
+    "sector-case2": lambda: (sector_mesh(3 * np.pi / 4, 3, grading=2.0),
+                             case2(3 * np.pi / 4, kappa=0.8, zeta=1.4),
+                             None),
+    "square-case1-stabilized": lambda: (unit_square_mesh(4), case1(),
+                                        StabilizationParams.full()),
+}
+
+
+def natural_system(problem, k):
+    mesh, case, params = CONDENSED_PROBLEMS[problem]()
+    return constrained_system(case, "natural", k, mesh=mesh, params=params)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("problem", sorted(CONDENSED_PROBLEMS))
+def test_condensed_solve_matches_the_full_solve(problem, k):
+    system = natural_system(problem, k)
+    local = system.local_dofs()
+    nt = system.spaces.mesh.n_triangles
+    assert local.shape == (nt, 3 * (k + 1) * (k + 2))
+    matrix, rhs, recover = condense(system.matrix, system.rhs, local)
+    assert matrix.shape == (system.n_dofs - local.size,) * 2
+    x = recover(solve_direct(matrix, rhs))
+    full = solve_direct(system.matrix, system.rhs)
+    assert np.linalg.norm(x - full) <= 1e-10 * np.linalg.norm(full)
+    assert residual_norm(system.matrix, x, system.rhs) <= \
+        1e-10 * np.linalg.norm(system.rhs)
+
+
+@pytest.mark.parametrize("kind", ["eo_unstab", "eo_min", "eo_full"])
+def test_equal_order_systems_pass_through_unchanged(kind):
+    system = constrained_system(case1(), kind, 1, 3)
+    local = system.local_dofs()
+    assert local.shape == (system.spaces.mesh.n_triangles, 0)
+    matrix, rhs, recover = condense(system.matrix, system.rhs, local)
+    assert matrix is system.matrix and rhs is system.rhs
+    x = solve_direct(matrix, rhs)
+    assert recover(x) is x
+
+
+def test_recovery_checks_the_full_residual():
+    system = natural_system("square-case1", 1)
+    matrix, rhs, recover = condense(system.matrix, system.rhs,
+                                    system.local_dofs())
+    x_glob = solve_direct(matrix, rhs)
+    recover(x_glob)
+    with pytest.raises(SolverError, match="full system"):
+        recover(x_glob * (1.0 + 1e-6))
+
+
+def test_entry_coupling_two_groups_is_rejected():
+    system = natural_system("square-case1", 0)
+    local = system.local_dofs()
+    matrix = system.matrix.tolil()
+    matrix[local[0, 0], local[1, 2]] = 1.0
+    with pytest.raises(ValueError, match="couples local groups 0 and 1"):
+        condense(matrix.tocsr(), system.rhs, local)
+
+
+def test_singular_local_block_is_a_singular_system():
+    system = natural_system("square-case1", 0)
+    local = system.local_dofs()
+    keep = np.ones(system.n_dofs)
+    keep[local[3]] = 0.0          # element 3's rows of e, s and mu vanish
+    matrix = sp.diags(keep) @ system.matrix
+    with pytest.raises(SingularSystemError, match="local block"):
+        condense(matrix, system.rhs, local)
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradflux import elements, solver
-from gradflux.forms import Formulation
+from gradflux.forms import Formulation, apply_dirichlet, assemble
 from gradflux.manufactured import case1, case2, case3
 from gradflux.study import (convergence_study, interpolation_study,
                             problem_data_for, sector_meshes, solve_case,
@@ -152,3 +152,28 @@ def test_solve_case_maps_each_basis_once_per_tabulation(monkeypatch, kind,
     monkeypatch.setattr(elements, "_map_gradients", counting)
     solve_case(unit_square_mesh(4), Formulation(kind, k), case1())
     assert len(mapped_shapes) == mapped
+
+
+@pytest.mark.parametrize("kind", ["natural", "eo_unstab", "eo_min",
+                                  "eo_full"])
+def test_solve_case_reports_the_unknowns_it_solved(kind):
+    res = solve_case(unit_square_mesh(4), Formulation(kind, 1), case1())
+    if kind == "natural":
+        # e, s and mu: 3 fields x 2 components x 3 P1 nodes per element
+        local = 3 * 2 * 3 * res.mesh.n_triangles
+        assert res.n_solved == res.n_dofs - local < res.n_dofs
+    else:
+        assert res.n_solved == res.n_dofs
+
+
+@pytest.mark.parametrize("kind", ["eo_unstab", "eo_min", "eo_full"])
+def test_equal_order_solutions_are_the_full_solve_bitwise(kind):
+    mesh = unit_square_mesh(4)
+    case = case1(kappa=1.3, zeta=0.7)
+    res = solve_case(mesh, Formulation(kind, 1), case)
+    data = problem_data_for(case, mesh)
+    system = apply_dirichlet(assemble(mesh, Formulation(kind, 1), data),
+                             data)
+    full = system.split(solver.solve_direct(system.matrix, system.rhs))
+    for name, coeffs in full.items():
+        assert np.array_equal(res.solution[name], coeffs)
