@@ -15,8 +15,7 @@ from .forms import (StabilizationParams, LengthScale, Formulation,
                     ProblemData, BlockSystem, ElementField, SpaceSet,
                     assemble, apply_dirichlet, stabilization_lengths,
                     stability_norm_matrix)
-from .solver import (SolverError, SingularSystemError, solve_direct,
-                     residual_norm)
+from .solver import SolverError, SingularSystemError, solve_direct
 from .manufactured import (ManufacturedCase, case1, case2, case3,
                            verify_strong_system)
 from .data_assign import (DataSet, build_dataset, assign_to_elements,
@@ -35,7 +34,7 @@ __all__ = [
     "StabilizationParams", "LengthScale", "Formulation", "ProblemData",
     "BlockSystem", "ElementField", "SpaceSet", "assemble", "apply_dirichlet",
     "stabilization_lengths", "stability_norm_matrix",
-    "SolverError", "SingularSystemError", "solve_direct", "residual_norm",
+    "SolverError", "SingularSystemError", "solve_direct",
     "ManufacturedCase", "case1", "case2", "case3", "verify_strong_system",
     "DataSet", "build_dataset", "assign_to_elements", "write_dataset_csv",
     "StudyReport", "error_norms", "convergence_rate", "second_law_audit",

@@ -48,6 +48,12 @@ def _number(field, value, integer=False):
     return int(value)
 
 
+def _object(field, value):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: expected a JSON object, got {value!r}")
+    return value
+
+
 def _integers(field, values):
     if not isinstance(values, list):
         raise ConfigError(f"{field}: expected a list of integers, "
@@ -77,6 +83,7 @@ class RunConfig:
         case = raw.get("case", {"name": "case1"})
         if isinstance(case, str):
             case = {"name": case}
+        case = _object("case", case)
         if case.get("name") not in _CASES:
             raise ConfigError(f"case.name: expected one of {_CASES}, "
                               f"got {case.get('name')!r}")
@@ -102,7 +109,7 @@ class RunConfig:
         if self.case_name in ("case2", "case3") and self.k != 0:
             raise ConfigError(f"k: {self.case_name} studies use k = 0 only")
 
-        mesh = raw.get("mesh", {})
+        mesh = _object("mesh", raw.get("mesh", {}))
         self.sizes = _integers("mesh.sizes", mesh.get("sizes", [8, 16, 32]))
         if any(n < 1 for n in self.sizes):
             raise ConfigError("mesh.sizes: entries must be >= 1")
@@ -124,6 +131,7 @@ class RunConfig:
 
         stab = raw.get("stabilization")
         if stab is not None:
+            stab = _object("stabilization", stab)
             try:
                 self.stabilization = StabilizationParams(**stab)
             except (TypeError, ValueError) as err:

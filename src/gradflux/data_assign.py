@@ -61,14 +61,6 @@ def nearest_sample_index(dataset, points):
     return ix + nd * iy
 
 
-def brute_force_nearest(dataset, points):
-    """Reference linear-scan argmin (lowest index wins on ties)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    diff = pts[:, None, :] - dataset.sample_points[None, :, :]
-    d2 = np.einsum("pse,pse->ps", diff, diff)
-    return np.argmin(d2, axis=1)
-
-
 def assign_to_elements(mesh, dataset):
     """Element-constant data fields from the nearest-sample rule.
 

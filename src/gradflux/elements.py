@@ -374,27 +374,56 @@ def interpolate(space, f):
     tab = Tabulation(space.mesh, rule.points)
     vals = tab.phi(space)                                   # (nq, nl)
     fx = np.asarray(f(*tab.xy), dtype=float)
+    nt, nq = fx.shape[:2]
     # Local mass matrix is detJ * M_ref; detJ cancels against the rhs.
-    mref = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-    minv = np.linalg.inv(mref)
-    if space.value_rank == "vector2":
-        rhs = np.einsum("q,qi,tqc->tic", rule.weights, vals, fx)
-        coeffs = np.einsum("ij,tjc->tic", minv, rhs)
-        out = np.zeros(space.n_dofs)
-        out[space.vector_dof_map().reshape(-1)] = coeffs.reshape(-1)
-        return out
-    rhs = np.einsum("q,qi,tq->ti", rule.weights, vals, fx)
-    coeffs = rhs @ minv.T
+    weight = np.broadcast_to(rule.weights, (nt, nq))
+    mref = integrate(weight[:1], vals, vals)[0]
+    coeffs = np.linalg.inv(mref) @ integrate(weight, vals,
+                                             fx.reshape(nt, nq, -1))
     out = np.zeros(space.n_dofs)
-    out[space.dof_map.reshape(-1)] = coeffs.reshape(-1)
+    out[space.element_dofs()] = coeffs.reshape(nt, -1)
     return out
 
 
 def physical_points(mesh, ref_points):
     """(nt, npts, 2) physical images of reference points."""
     p0 = mesh.vertices[mesh.triangles[:, 0]]
-    return p0[:, None, :] + np.einsum("tab,qb->tqa", mesh.jacobians,
-                                      np.asarray(ref_points, dtype=float))
+    return p0[:, None, :] + _transform(mesh.jacobians, ref_points)
+
+
+def _transform(mats, vectors):
+    """``mats[t] @ v`` for every per-element 2x2 matrix and every
+    2-vector v of a reference array (..., 2): shape (nt, ..., 2).
+
+    One GEMM of the flattened (nt, 4) matrices against a (4, v.size)
+    table that holds the vectors on its component diagonal.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    table = np.zeros((2, 2) + vectors.shape)       # (row a, column b, ..., a)
+    for a in range(2):
+        table[a, :, ..., a] = np.moveaxis(vectors, -1, 0)
+    out = mats.reshape(-1, 4) @ table.reshape(4, -1)
+    return out.reshape((len(mats),) + vectors.shape)
+
+
+def integrate(weight, a, b=None):
+    """Quadrature sums by BLAS: ``sum_q weight[t, q] a[., q, i] b[., q, j]``,
+    shape (nt, ni, nj), or ``sum_q weight[t, q] a[., q, i]``, shape
+    (nt, ni), without ``b``.
+
+    ``weight`` is (nt, nq).  ``a`` and ``b`` are reference tables (nq, n),
+    the same on every element, or per-element arrays (nt, nq, n).  Two
+    tables make one GEMM of the weights against their (nq, ni nj)
+    products; any per-element factor makes one batched matmul.
+    """
+    if b is None:
+        if a.ndim == 2:
+            return weight @ a
+        return np.matmul(weight[:, None, :], a)[:, 0]
+    if a.ndim == 2 and b.ndim == 2:
+        prod = (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+        return (weight @ prod).reshape(len(weight), a.shape[1], b.shape[1])
+    return np.matmul(np.swapaxes(a, -1, -2), weight[:, :, None] * b)
 
 
 def inverse_jacobians_t(mesh):
@@ -416,8 +445,12 @@ class Tabulation:
     |det J| become ``W`` (nt, nq), or an array of reference points, such
     as the lattice nodes, with ``W`` None.  The physical points, and the
     values and mapped gradients of each distinct basis, keyed by (family,
-    degree), are computed once, on first use.  Nothing is cached outside
-    the object, which lives as long as the call that builds it.
+    degree), are computed once, on first use, each by one GEMM.  Field
+    gradients and divergences are taken in reference coordinates by one
+    GEMM of the element coefficients against the reference gradients,
+    then mapped by the per-element J^-T, so evaluating a field maps no
+    basis.  Nothing is cached outside the object, which lives as long as
+    the call that builds it.
     """
 
     def __init__(self, mesh, points):
@@ -437,6 +470,11 @@ class Tabulation:
         phys = physical_points(self.mesh, self.points)
         return phys[..., 0], phys[..., 1]
 
+    @functools.cached_property
+    def _inv_t(self):
+        """(nt, 2, 2) inverse-transposed Jacobians."""
+        return inverse_jacobians_t(self.mesh)
+
     def _reference_tables(self, space):
         key = (space.family, space.degree)
         if key not in self._reference:
@@ -452,7 +490,7 @@ class Tabulation:
         key = (space.family, space.degree)
         if key not in self._mapped:
             self._mapped[key] = _map_gradients(
-                self.mesh, self._reference_tables(space)[1])
+                self._inv_t, self._reference_tables(space)[1])
         return self._mapped[key]
 
     def div(self, space):
@@ -464,26 +502,42 @@ class Tabulation:
     def values(self, space, coeffs):
         """Field values, (nt, nq) for a scalar space, (nt, nq, 2) for a
         vector one."""
-        phi = self.phi(space)
+        phi_t = self.phi(space).T
         if space.value_rank == "vector2":
-            return np.einsum("tlc,ql->tqc", _vector_local(space, coeffs), phi)
-        return np.einsum("tl,ql->tq", coeffs[space.dof_map], phi)
+            local = _vector_local(space, coeffs)               # (nt, 2, nl)
+            vals = local.reshape(-1, local.shape[-1]) @ phi_t
+            return np.swapaxes(vals.reshape(len(local), 2, -1), 1, 2)
+        return coeffs[space.dof_map] @ phi_t
 
     def gradient(self, space, coeffs):
         """(nt, nq, 2) gradient of a scalar field."""
-        return np.einsum("tl,tqla->tqa", coeffs[space.dof_map],
-                         self.grad(space))
+        ref = self._reference_gradient(space, coeffs[space.dof_map])
+        return np.matmul(ref, np.swapaxes(self._inv_t, 1, 2))
 
     def divergence(self, space, coeffs):
         """(nt, nq) divergence of a vector field."""
-        return np.einsum("tlc,tqlc->tq", _vector_local(space, coeffs),
-                         self.grad(space))
+        ref = self._reference_gradient(space, _vector_local(space, coeffs))
+        # ref[t, c, q, b]: reference derivative b of component c
+        return sum(self._inv_t[:, c, b, None] * ref[:, c, :, b]
+                   for c in range(2) for b in range(2))
+
+    def _reference_gradient(self, space, local):
+        """Reference-coordinate gradients ``sum_l local[..., l] grad_l``
+        at every point, (..., nq, 2), as one GEMM."""
+        ref_grads = self._reference_tables(space)[1]       # (nq, nl, 2)
+        nq, nl, _ = ref_grads.shape
+        table = np.swapaxes(ref_grads, 0, 1).reshape(nl, 2 * nq)
+        out = local.reshape(-1, nl) @ table
+        return out.reshape(local.shape[:-1] + (nq, 2))
 
 
-def _map_gradients(mesh, ref_grads):
-    return np.einsum("tab,qlb->tqla", inverse_jacobians_t(mesh), ref_grads)
+def _map_gradients(inv_t, ref_grads):
+    """(nt, nq, nl, 2) basis gradients mapped by J^-T; every basis is
+    mapped here."""
+    return _transform(inv_t, ref_grads)
 
 
 def _vector_local(space, coeffs):
-    """(nt, n_local_scalar, 2) element coefficients of a vector field."""
-    return coeffs[space.vector_dof_map()].reshape(len(space.dof_map), -1, 2)
+    """(nt, 2, n_local_scalar) element coefficients of a vector field,
+    component by component."""
+    return coeffs[2 * space.dof_map[:, None, :] + np.arange(2)[:, None]]

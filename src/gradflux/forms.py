@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from . import elements
 from .elements import (Tabulation, build_space, gauss_legendre_01,
-                       quadrature)
+                       integrate, quadrature)
 from .mesh import mesh_size
 
 FIELD_NAMES = ("u", "e", "s", "lam", "mu")
@@ -332,75 +332,164 @@ class BlockSystem:
 # assembly
 
 
-def _vector_mass(weight, phi_r, phi_c):
-    m = np.einsum("tq,qi,qj->tij", weight, phi_r, phi_c)
-    nt, nr, nc = m.shape
-    out = np.zeros((nt, nr, 2, nc, 2))
-    out[:, :, 0, :, 0] = m
-    out[:, :, 1, :, 1] = m
-    return out.reshape(nt, 2 * nr, 2 * nc)
+def _stiffness(weight, grad):
+    """sum_q w grad(phi_i) . grad(phi_j), one batched product per
+    gradient component."""
+    return sum(integrate(weight, grad[..., c], grad[..., c])
+               for c in range(2))
 
 
-# Sparsity that elements couple between two spaces: the coupled (row,
-# column) dof pairs in row-major order, each pair's position within its
-# row, the pairs per row, and for every element entry (element, i, j) in C
-# order the pair it adds to.
+def _gradient_value(weight, grad, phi):
+    """sum_q w d_c(phi_i) psi_j for a scalar basis phi and the vector
+    basis psi_j e_c: (nt, ni, 2 nj), columns interleaved as (j, c)."""
+    out = np.stack([integrate(weight, grad[..., c], phi) for c in range(2)],
+                   axis=-1)
+    return out.reshape(out.shape[0], out.shape[1], -1)
+
+
+# Sparsity that elements couple between two scalar spaces: the coupled
+# (row, column) node pairs in row-major order, each pair's position
+# within its row, the pairs per row, and for every element entry (element,
+# i, j) in C order the pair it adds to.  A block between vector spaces
+# expands each node pair into its component pairs.
 _Pattern = namedtuple("_Pattern", "rows cols within counts slot")
+_Layout = namedtuple("_Layout", "rows cols within counts")
 
 
 def _space_pair_pattern(row_space, col_space):
-    n_cols = col_space.n_dofs
-    keys = (row_space.element_dofs()[:, :, None].astype(np.int64) * n_cols
-            + col_space.element_dofs()[:, None, :])
+    n_cols = col_space.n_scalar_dofs
+    keys = (row_space.dof_map[:, :, None] * n_cols
+            + col_space.dof_map[:, None, :])
     pairs, slot = np.unique(keys.ravel(), return_inverse=True)
     rows, cols = np.divmod(pairs, n_cols)
-    counts = np.bincount(rows, minlength=row_space.n_dofs)
+    counts = np.bincount(rows, minlength=row_space.n_scalar_dofs)
     first = np.cumsum(counts) - counts
     within = np.arange(len(pairs)) - first[rows]
     return _Pattern(rows, cols, within, counts, slot)
+
+
+def _component_layout(pattern, ra, cb, diagonal):
+    """The layout of a block whose row and column spaces have ra and cb
+    components, from the scalar pattern of its bases.
+
+    Component pair (a, b) of node pair p is stored value p ra cb + a cb +
+    b; with ``diagonal`` only the pairs a = b = c are stored, as value
+    2 p + c.
+    """
+    if diagonal:
+        comps = np.arange(2)
+        return _Layout((2 * pattern.rows[:, None] + comps).ravel(),
+                       (2 * pattern.cols[:, None] + comps).ravel(),
+                       np.repeat(pattern.within, 2),
+                       np.repeat(pattern.counts, 2))
+    shape = (len(pattern.rows), ra, cb)
+    a, b = np.arange(ra)[:, None], np.arange(cb)
+    return _Layout(
+        np.broadcast_to(ra * pattern.rows[:, None, None] + a, shape).ravel(),
+        np.broadcast_to(cb * pattern.cols[:, None, None] + b, shape).ravel(),
+        np.broadcast_to(cb * pattern.within[:, None, None] + b,
+                        shape).ravel(),
+        np.repeat(cb * pattern.counts, ra))
 
 
 class _BlockMatrix:
     """Global matrix built from element matrices per (row, column) field
     block.
 
-    Each added batch of element matrices is summed at once onto its
-    block's sparsity, so no global triplet list is held.  ``csr()``
-    writes every block into its segment of the global rows.  A row holds
-    its blocks in field order, and fields are numbered in that order, so
-    the column indices come out sorted and unique with no global sort.
-    Every block a formulation adds stores its whole pattern, explicit
-    zeros included.
+    Each added batch of element matrices is summed at once onto the
+    scalar node pairs its elements couple, so no global triplet list is
+    held; that sparsity is computed once per pair of scalar bases.  A
+    block between vector fields stores every component pair of a node
+    pair, or only its two component diagonals when all it receives is
+    ``add_mass`` terms.  ``csr()`` writes every block into its segment of
+    the global rows.  A row holds its blocks in field order, and fields
+    are numbered in that order, so the column indices come out sorted and
+    unique with no global sort.  Every block stores its whole pattern,
+    explicit zeros included.
     """
 
     def __init__(self, spaces):
         self.spaces = spaces
-        self._patterns = {}   # (row space id, column space id) -> pattern
-        self._values = {}     # (row field, column field) -> pair values
+        self._patterns = {}   # (row basis, column basis) -> pattern
+        self._values = {}     # (row field, column field) -> (pairs, ra * cb)
+        self._masses = {}     # (row field, column field) -> (pairs,)
+        self._layouts = {}    # see _layout
 
-    def _pattern(self, row_name, col_name):
+    def _bases(self, row_name, col_name):
         row_space = self.spaces.by_name(row_name)
         col_space = self.spaces.by_name(col_name)
-        key = (id(row_space), id(col_space))
+        return (row_space.family, row_space.degree,
+                col_space.family, col_space.degree)
+
+    def _pattern(self, row_name, col_name):
+        key = self._bases(row_name, col_name)
         if key not in self._patterns:
-            self._patterns[key] = _space_pair_pattern(row_space, col_space)
+            self._patterns[key] = _space_pair_pattern(
+                self.spaces.by_name(row_name), self.spaces.by_name(col_name))
         return self._patterns[key]
 
+    def _components(self, row_name, col_name):
+        return (self.spaces.by_name(row_name).components,
+                self.spaces.by_name(col_name).components)
+
     def add(self, row_name, col_name, mats):
-        pattern = self._pattern(row_name, col_name)
-        vals = np.bincount(pattern.slot, weights=mats.ravel(),
-                           minlength=len(pattern.rows))
+        """Add element matrices over the interleaved local dofs of both
+        fields; component pair (a, b) of node pair p is column
+        a * cb + b of the block's values."""
+        slot = self._pattern(row_name, col_name).slot
+        ra, cb = self._components(row_name, col_name)
+        mats = mats.reshape(len(mats), -1, ra, mats.shape[2] // cb, cb)
+        vals = np.stack([np.bincount(slot, weights=mats[:, :, a, :, b].ravel())
+                         for a in range(ra) for b in range(cb)], axis=1)
         key = (row_name, col_name)
-        if key in self._values:
-            self._values[key] += vals
-        else:
-            self._values[key] = vals
+        self._values[key] = self._values.get(key, 0.0) + vals
+
+    def add_mass(self, row_name, col_name, mats):
+        """Add scalar element matrices (nt, nr, nc) to both component
+        diagonals of a block between two vector fields."""
+        slot = self._pattern(row_name, col_name).slot
+        key = (row_name, col_name)
+        self._masses[key] = (self._masses.get(key, 0.0)
+                             + np.bincount(slot, weights=mats.ravel()))
+
+    def _blocks(self):
+        """(row field, column field, diagonal only) of every stored
+        block, in field order."""
+        for row_name in FIELD_NAMES:
+            for col_name in FIELD_NAMES:
+                key = (row_name, col_name)
+                if key in self._values:
+                    yield row_name, col_name, False
+                elif key in self._masses:
+                    yield row_name, col_name, True
+
+    def _layout(self, row_name, col_name, diagonal):
+        """Where a block's stored values go: their rows and columns in
+        the block, each one's position within its row, and the entries
+        per row."""
+        ra, cb = (2, 2) if diagonal else self._components(row_name, col_name)
+        key = self._bases(row_name, col_name) + (ra, cb, diagonal)
+        if key not in self._layouts:
+            self._layouts[key] = _component_layout(
+                self._pattern(row_name, col_name), ra, cb, diagonal)
+        return self._layouts[key]
+
+    def _block_values(self, row_name, col_name, diagonal):
+        key = (row_name, col_name)
+        mass = self._masses.get(key)
+        if diagonal:
+            return np.repeat(mass, 2)
+        vals = self._values[key]
+        if mass is not None:
+            vals = vals.copy()
+            vals[:, [0, 3]] += mass[:, None]       # pairs (0, 0), (1, 1)
+        return vals.ravel()
 
     def csr(self):
         offsets, n_dofs = self.spaces.offsets()
         row_len = np.zeros(n_dofs, dtype=np.int64)
-        for row_name, col_name in self._values:
-            counts = self._pattern(row_name, col_name).counts
+        for row_name, col_name, diagonal in self._blocks():
+            counts = self._layout(row_name, col_name, diagonal).counts
             start = offsets[row_name]
             row_len[start:start + len(counts)] += counts
         indptr = np.zeros(n_dofs + 1, dtype=np.int64)
@@ -411,17 +500,13 @@ class _BlockMatrix:
         indices = np.empty(nnz, dtype=index_dtype)
         data = np.empty(nnz)
         fill = indptr[:-1].copy()          # next free slot of every row
-        for row_name in FIELD_NAMES:
-            for col_name in FIELD_NAMES:
-                vals = self._values.get((row_name, col_name))
-                if vals is None:
-                    continue
-                pattern = self._pattern(row_name, col_name)
-                start = offsets[row_name]
-                dest = fill[start + pattern.rows] + pattern.within
-                indices[dest] = pattern.cols + offsets[col_name]
-                data[dest] = vals
-                fill[start:start + len(pattern.counts)] += pattern.counts
+        for row_name, col_name, diagonal in self._blocks():
+            layout = self._layout(row_name, col_name, diagonal)
+            start = offsets[row_name]
+            dest = fill[start + layout.rows] + layout.within
+            indices[dest] = layout.cols + offsets[col_name]
+            data[dest] = self._block_values(row_name, col_name, diagonal)
+            fill[start:start + len(layout.counts)] += layout.counts
         return sp.csr_matrix((data, indices, indptr.astype(index_dtype)),
                              shape=(n_dofs, n_dofs))
 
@@ -468,65 +553,59 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     grad_u = tab.grad(spaces.u)
     phi_v = tab.phi(spaces.e)
     div_v = tab.div(spaces.e)
+    mass_v = integrate(W, phi_v, phi_v)
+    # (u_i, (v_j, c)): sum_q W d_c(phi_i) psi_j
+    grad_v = _gradient_value(W, grad_u, phi_v)
+    stiff = _stiffness(W, grad_u) if al or et else None
 
     blocks = _BlockMatrix(spaces)
-    add = blocks.add
+    add, add_mass = blocks.add, blocks.add_mass
     dofs = {name: spaces.by_name(name).element_dofs() + offsets[name]
             for name in FIELD_NAMES}
 
     # --- primal-primal ------------------------------------------------
     if al:
-        add("u", "u", al * np.einsum("tq,tqia,tqja->tij", W, grad_u, grad_u))
-        b_ue = -al * np.einsum("tq,qj,tqic->tijc", W, phi_v, grad_u)
-        b_ue = b_ue.reshape(b_ue.shape[0], b_ue.shape[1], -1)
-        add("u", "e", b_ue)
-        add("e", "u", b_ue.transpose(0, 2, 1))
+        add("u", "u", al * stiff)
+        add("u", "e", -al * grad_v)
+        add("e", "u", -al * grad_v.transpose(0, 2, 1))
     if w_ts is not None and zeta_q is not None:
-        add("u", "u", np.einsum("tq,qi,qj->tij", w_ts * zeta_q ** 2,
-                                phi_u, phi_u))
-        b_us = np.einsum("tq,qi,tqj->tij", w_ts * zeta_q, phi_u, div_v)
+        add("u", "u", integrate(w_ts * zeta_q ** 2, phi_u, phi_u))
+        b_us = integrate(w_ts * zeta_q, phi_u, div_v)
         add("u", "s", b_us)
         add("s", "u", b_us.transpose(0, 2, 1))
-    add("e", "e", (1.0 + al - ga) * _vector_mass(W, phi_v, phi_v))
-    m_ss = (1.0 - et) * kp * _vector_mass(W, phi_v, phi_v)
-    add("s", "s", m_ss)
+    add_mass("e", "e", (1.0 + al - ga) * mass_v)
+    add_mass("s", "s", (1.0 - et) * kp * mass_v)
     if w_ts is not None:
-        add("s", "s", np.einsum("tq,tqi,tqj->tij", w_ts, div_v, div_v))
+        add("s", "s", integrate(w_ts, div_v, div_v))
 
     # --- primal-dual coupling (skew) ------------------------------------
     dual_sign = 1.0 if symmetric_variant else -1.0
     if zeta_q is not None:
-        b_ul = np.einsum("tq,qi,qj->tij", W * zeta_q, phi_u, phi_u)
+        b_ul = integrate(W * zeta_q, phi_u, phi_u)
         add("u", "lam", b_ul)
         add("lam", "u", dual_sign * b_ul.transpose(0, 2, 1))
-    b_um = -np.einsum("tq,qj,tqic->tijc", W, phi_v, grad_u)
-    b_um = b_um.reshape(b_um.shape[0], b_um.shape[1], -1)
-    add("u", "mu", b_um)
-    add("mu", "u", dual_sign * b_um.transpose(0, 2, 1))
-    b_em = (1.0 - ga) * _vector_mass(W, phi_v, phi_v)
-    add("e", "mu", b_em)
-    add("mu", "e", dual_sign * b_em.transpose(0, 2, 1))
-    b_sl = -(1.0 - et) * np.einsum("tq,qi,tqjc->ticj", W, phi_v, grad_u)
-    b_sl = b_sl.reshape(b_sl.shape[0], -1, b_sl.shape[-1])
+    add("u", "mu", -grad_v)
+    add("mu", "u", -dual_sign * grad_v.transpose(0, 2, 1))
+    b_em = (1.0 - ga) * mass_v
+    add_mass("e", "mu", b_em)
+    add_mass("mu", "e", dual_sign * b_em.transpose(0, 2, 1))
+    b_sl = -(1.0 - et) * grad_v.transpose(0, 2, 1)
     add("s", "lam", b_sl)
     add("lam", "s", dual_sign * b_sl.transpose(0, 2, 1))
 
     # --- dual-dual ------------------------------------------------------
     dd = -dual_sign  # +1 in the default convention, -1 when symmetric
     if et:
-        add("lam", "lam",
-            dd * (et / kp) * np.einsum("tq,tqia,tqja->tij", W,
-                                       grad_u, grad_u))
+        add("lam", "lam", dd * (et / kp) * stiff)
     if w_b is not None and zeta_q is not None:
-        add("lam", "lam", dd * np.einsum("tq,qi,qj->tij", w_b * zeta_q ** 2,
-                                         phi_u, phi_u))
-        b_lm = np.einsum("tq,qi,tqj->tij", w_b * zeta_q, phi_u, div_v)
+        add("lam", "lam", dd * integrate(w_b * zeta_q ** 2, phi_u, phi_u))
+        b_lm = integrate(w_b * zeta_q, phi_u, div_v)
         add("lam", "mu", dd * b_lm)
         add("mu", "lam", dd * b_lm.transpose(0, 2, 1))
     if ga:
-        add("mu", "mu", dd * ga * _vector_mass(W, phi_v, phi_v))
+        add_mass("mu", "mu", dd * ga * mass_v)
     if w_b is not None:
-        add("mu", "mu", dd * np.einsum("tq,tqi,tqj->tij", w_b, div_v, div_v))
+        add("mu", "mu", dd * integrate(w_b, div_v, div_v))
 
     matrix = blocks.csr()
 
@@ -537,31 +616,28 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
         np.add.at(rhs, dofs[name].ravel(), contrib.ravel())
 
     if q_q is not None and w_ts is not None and zeta_q is not None:
-        load("u", np.einsum("tq,qi->ti", w_ts * zeta_q * q_q, phi_u))
+        load("u", integrate(w_ts * zeta_q * q_q, phi_u))
     if f_q is not None:
-        load("u", np.einsum("tq,qi->ti", W * f_q, phi_u))
+        load("u", integrate(W * f_q, phi_u))
     if e_dat is not None:
-        fe = (1.0 - ga) * np.einsum("tq,tqc,qi->tic", W, e_dat, phi_v)
-        load("e", fe.reshape(fe.shape[0], -1))
+        fe = integrate(W, phi_v, e_dat)           # (nt, n_local, 2)
+        load("e", (1.0 - ga) * fe)
         if ga:
-            fm = -dual_sign * ga * np.einsum("tq,tqc,qi->tic", W, e_dat,
-                                             phi_v)
-            load("mu", fm.reshape(fm.shape[0], -1))
+            load("mu", -dual_sign * ga * fe)
     if s_dat is not None:
-        fs = (1.0 - et) * kp * np.einsum("tq,tqc,qi->tic", W, s_dat, phi_v)
-        load("s", fs.reshape(fs.shape[0], -1))
+        load("s", (1.0 - et) * kp * integrate(W, phi_v, s_dat))
         if et:
-            load("lam", dual_sign * et * np.einsum("tq,tqc,tqic->ti", W,
-                                                   s_dat, grad_u))
+            load("lam", dual_sign * et
+                 * sum(integrate(W * s_dat[..., c], grad_u[..., c])
+                       for c in range(2)))
     if q_q is not None:
         if w_ts is not None:
-            load("s", np.einsum("tq,tqi->ti", w_ts * q_q, div_v))
-        load("lam", dual_sign * np.einsum("tq,qi->ti", W * q_q, phi_u))
+            load("s", integrate(w_ts * q_q, div_v))
+        load("lam", dual_sign * integrate(W * q_q, phi_u))
     if f_q is not None and w_b is not None:
         if zeta_q is not None:
-            load("lam", -dual_sign
-                 * np.einsum("tq,qi->ti", w_b * zeta_q * f_q, phi_u))
-        load("mu", -dual_sign * np.einsum("tq,tqi->ti", w_b * f_q, div_v))
+            load("lam", -dual_sign * integrate(w_b * zeta_q * f_q, phi_u))
+        load("mu", -dual_sign * integrate(w_b * f_q, div_v))
 
     _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
                        dual_sign)
@@ -611,8 +687,7 @@ def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
                 gv = np.asarray(g(xq[..., 0], xq[..., 1], nx, ny),
                                 dtype=float)
                 np.add.at(rhs, gdofs + offsets[name],
-                          sign * np.einsum("eq,eq,eqi->ei", edge_w, gv,
-                                           vals[le]))
+                          sign * integrate(edge_w * gv, vals[le]))
 
 
 # ----------------------------------------------------------------------
@@ -732,18 +807,17 @@ def stability_norm_matrix(spaces, kappa, h):
     tab = Tabulation(spaces.mesh,
                      quadrature(min(10, 2 * spaces.max_degree() + 1)))
     W = tab.W
-    grad_u = tab.grad(spaces.u)
-    phi_v = tab.phi(spaces.e)
     div_v = tab.div(spaces.e)
-
-    stiff = np.einsum("tq,tqia,tqja->tij", W, grad_u, grad_u)
-    vmass = _vector_mass(W, phi_v, phi_v)
-    divg = np.einsum("tq,tqi,tqj->tij", W, div_v, div_v)
+    stiff = _stiffness(W, tab.grad(spaces.u))
+    mass = integrate(W, tab.phi(spaces.e), tab.phi(spaces.e))
+    divg = integrate(W, div_v, div_v)
 
     blocks = _BlockMatrix(spaces)
     blocks.add("u", "u", stiff)
-    blocks.add("e", "e", vmass)
-    blocks.add("s", "s", kappa * vmass + kappa * h ** 2 * divg)
+    blocks.add_mass("e", "e", mass)
+    blocks.add_mass("s", "s", kappa * mass)
+    blocks.add("s", "s", kappa * h ** 2 * divg)
     blocks.add("lam", "lam", stiff / kappa)
-    blocks.add("mu", "mu", vmass + h ** 2 * divg)
+    blocks.add_mass("mu", "mu", mass)
+    blocks.add("mu", "mu", h ** 2 * divg)
     return blocks.csr()

@@ -243,6 +243,21 @@ def test_numbers_of_the_wrong_kind_are_config_errors(payload, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"mesh": 3}, "mesh: expected a JSON object, got 3"),
+    ({"case": 5}, "case: expected a JSON object, got 5"),
+    ({"stabilization": [0.1]},
+     "stabilization: expected a JSON object, got [0.1]"),
+])
+def test_sections_that_are_not_objects_are_config_errors(tmp_path, capsys,
+                                                         payload, message):
+    path = write_config(tmp_path, payload)
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_integral_floats_are_accepted():
     config = RunConfig({"k": 2.0, "mesh": {"sizes": [4.0]}, "seed": 3.0,
                         "quad_exactness": 5.0, "nd_list": [2.0]})

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from gradflux.data_assign import (DataSet, assign_to_elements,
-                                  brute_force_nearest, build_dataset,
+from gradflux.data_assign import (DataSet, assign_to_elements, build_dataset,
                                   nearest_sample_index, write_dataset_csv)
 from gradflux.manufactured import case3
 from gradflux.mesh import unit_square_mesh
+
+
+def brute_force_nearest(dataset, points):
+    """Reference linear-scan argmin (lowest index wins on ties)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    diff = pts[:, None, :] - dataset.sample_points[None, :, :]
+    return np.argmin(np.sum(diff ** 2, axis=-1), axis=1)
 
 
 def test_sample_point_layout():

@@ -10,7 +10,7 @@ from gradflux.forms import (ElementField, Formulation, LengthScale,
                             stabilization_lengths)
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import Mesh, mesh_size, sector_mesh, unit_square_mesh
-from gradflux.solver import solve_direct
+from gradflux.solver import matrix_digest, solve_direct
 from gradflux.study import problem_data_for
 
 ALL_KINDS = ("natural", "eo_unstab", "eo_min", "eo_full")
@@ -460,11 +460,20 @@ class TripletReference:
         return self.spaces.by_name(name).element_dofs() + self.offsets[name]
 
     def add(self, row_name, col_name, mats):
-        self.rows.append(np.broadcast_to(self.dofs(row_name)[:, :, None],
+        self.add_triplets(self.dofs(row_name), self.dofs(col_name), mats)
+
+    def add_triplets(self, row_dofs, col_dofs, mats):
+        self.rows.append(np.broadcast_to(row_dofs[:, :, None],
                                          mats.shape).ravel())
-        self.cols.append(np.broadcast_to(self.dofs(col_name)[:, None, :],
+        self.cols.append(np.broadcast_to(col_dofs[:, None, :],
                                          mats.shape).ravel())
         self.vals.append(np.ascontiguousarray(mats).ravel())
+
+    def add_mass(self, row_name, col_name, mats):
+        # the scalar matrices on the two component diagonals only
+        for c in range(2):
+            self.add_triplets(self.dofs(row_name)[:, c::2],
+                              self.dofs(col_name)[:, c::2], mats)
 
     def csr(self):
         return sp.coo_matrix(
@@ -516,6 +525,334 @@ def test_block_assembly_matches_triplet_reference(kind, k, make_problem,
         scale = np.abs(ref.data).max()
         assert np.abs(mat.data - ref.data).max() <= 8 * np.finfo(float).eps \
             * scale
+
+
+# ----------------------------------------------------------------------
+# the BLAS contractions against the einsum formulas they replaced
+
+
+class EinsumReference:
+    """The np.einsum formulas every quadrature sum used before the
+    contractions became BLAS products, on one set of reference points.
+
+    Weights, physical points, basis values and mapped gradients are
+    built here from the reference tables, not taken from
+    :class:`elements.Tabulation`.
+    """
+
+    def __init__(self, mesh, rule):
+        self.mesh = mesh
+        self.points = rule.points
+        self.W = mesh.jacobian_dets[:, None] * rule.weights[None, :]
+        self.xy = np.moveaxis(self.physical_points(mesh, rule.points), -1, 0)
+
+    @staticmethod
+    def physical_points(mesh, ref_points):
+        p0 = mesh.vertices[mesh.triangles[:, 0]]
+        return p0[:, None, :] + np.einsum("tab,qb->tqa", mesh.jacobians,
+                                          ref_points)
+
+    def phi(self, space):
+        return space.tabulate(self.points)[0]
+
+    def grad(self, space):
+        return np.einsum("tab,qlb->tqla",
+                         elements.inverse_jacobians_t(self.mesh),
+                         space.tabulate(self.points)[1])
+
+    def div(self, space):
+        grads = self.grad(space)
+        return grads.reshape(grads.shape[0], grads.shape[1], -1)
+
+    @staticmethod
+    def local(space, coeffs):
+        return coeffs[space.vector_dof_map()].reshape(len(space.dof_map),
+                                                      -1, 2)
+
+    def values(self, space, coeffs):
+        if space.value_rank == "vector2":
+            return np.einsum("tlc,ql->tqc", self.local(space, coeffs),
+                             self.phi(space))
+        return np.einsum("tl,ql->tq", coeffs[space.dof_map], self.phi(space))
+
+    def gradient(self, space, coeffs):
+        return np.einsum("tl,tqla->tqa", coeffs[space.dof_map],
+                         self.grad(space))
+
+    def divergence(self, space, coeffs):
+        return np.einsum("tlc,tqlc->tq", self.local(space, coeffs),
+                         self.grad(space))
+
+    @staticmethod
+    def vector_mass(weight, phi_r, phi_c):
+        m = np.einsum("tq,qi,qj->tij", weight, phi_r, phi_c)
+        nt, nr, nc = m.shape
+        out = np.zeros((nt, nr, 2, nc, 2))
+        out[:, :, 0, :, 0] = m
+        out[:, :, 1, :, 1] = m
+        return out.reshape(nt, 2 * nr, 2 * nc)
+
+    @classmethod
+    def interpolate(cls, space, f):
+        """DG projection."""
+        rule = quadrature(min(10, 2 * space.degree + 2))
+        ref = cls(space.mesh, rule)
+        vals = ref.phi(space)
+        fx = np.asarray(f(*ref.xy), dtype=float)
+        minv = np.linalg.inv(np.einsum("q,qi,qj->ij", rule.weights, vals,
+                                       vals))
+        out = np.zeros(space.n_dofs)
+        if space.value_rank == "vector2":
+            rhs = np.einsum("q,qi,tqc->tic", rule.weights, vals, fx)
+            coeffs = np.einsum("ij,tjc->tic", minv, rhs)
+            out[space.vector_dof_map().reshape(-1)] = coeffs.reshape(-1)
+        else:
+            rhs = np.einsum("q,qi,tq->ti", rule.weights, vals, fx)
+            out[space.dof_map.reshape(-1)] = (rhs @ minv.T).reshape(-1)
+        return out
+
+    @classmethod
+    def assemble(cls, mesh, form, data):
+        """Element matrices summed per block, and the load without its
+        Neumann part."""
+        spaces = form.build_spaces(mesh)
+        params = form.params()
+        ref = cls(mesh, quadrature(forms.default_quad_exactness(spaces)))
+        W, (X, Y) = ref.W, ref.xy
+        kp = float(data.kappa)
+        al, ga, et = params.alpha, params.gamma, params.eta
+        th, bt = params.theta, params.beta
+        ell_s, ell_mu = stabilization_lengths(mesh, params)
+        zeta_q = forms._scalar_at(data.zeta, X, Y)
+        q_q = forms._scalar_at(data.q, X, Y)
+        f_q = forms._scalar_at(data.f, X, Y)
+        e_dat = forms._vector_at(data.e_data, X, Y)
+        s_dat = forms._vector_at(data.s_data, X, Y)
+        w_ts = th * kp * (ell_s ** 2)[:, None] * W if th else None
+        w_b = bt * (ell_mu ** 2)[:, None] * W if bt else None
+        phi_u, grad_u = ref.phi(spaces.u), ref.grad(spaces.u)
+        phi_v, div_v = ref.phi(spaces.e), ref.div(spaces.e)
+        blocks = BlockRecorder(spaces)
+        add = blocks.add
+
+        def flat(m, axis):
+            shape = list(m.shape[:axis]) + [-1] + list(m.shape[axis + 2:])
+            return m.reshape(shape)
+
+        if al:
+            add("u", "u", al * np.einsum("tq,tqia,tqja->tij", W, grad_u,
+                                         grad_u))
+            b_ue = flat(-al * np.einsum("tq,qj,tqic->tijc", W, phi_v,
+                                        grad_u), 2)
+            add("u", "e", b_ue)
+            add("e", "u", b_ue.transpose(0, 2, 1))
+        if w_ts is not None and zeta_q is not None:
+            add("u", "u", np.einsum("tq,qi,qj->tij", w_ts * zeta_q ** 2,
+                                    phi_u, phi_u))
+            b_us = np.einsum("tq,qi,tqj->tij", w_ts * zeta_q, phi_u, div_v)
+            add("u", "s", b_us)
+            add("s", "u", b_us.transpose(0, 2, 1))
+        add("e", "e", (1.0 + al - ga) * cls.vector_mass(W, phi_v, phi_v))
+        add("s", "s", (1.0 - et) * kp * cls.vector_mass(W, phi_v, phi_v))
+        if w_ts is not None:
+            add("s", "s", np.einsum("tq,tqi,tqj->tij", w_ts, div_v, div_v))
+        dual_sign = -1.0
+        if zeta_q is not None:
+            b_ul = np.einsum("tq,qi,qj->tij", W * zeta_q, phi_u, phi_u)
+            add("u", "lam", b_ul)
+            add("lam", "u", dual_sign * b_ul.transpose(0, 2, 1))
+        b_um = flat(-np.einsum("tq,qj,tqic->tijc", W, phi_v, grad_u), 2)
+        add("u", "mu", b_um)
+        add("mu", "u", dual_sign * b_um.transpose(0, 2, 1))
+        b_em = (1.0 - ga) * cls.vector_mass(W, phi_v, phi_v)
+        add("e", "mu", b_em)
+        add("mu", "e", dual_sign * b_em.transpose(0, 2, 1))
+        b_sl = flat(-(1.0 - et) * np.einsum("tq,qi,tqjc->ticj", W, phi_v,
+                                            grad_u), 1)
+        add("s", "lam", b_sl)
+        add("lam", "s", dual_sign * b_sl.transpose(0, 2, 1))
+        dd = -dual_sign
+        if et:
+            add("lam", "lam", dd * (et / kp) * np.einsum(
+                "tq,tqia,tqja->tij", W, grad_u, grad_u))
+        if w_b is not None and zeta_q is not None:
+            add("lam", "lam", dd * np.einsum("tq,qi,qj->tij",
+                                             w_b * zeta_q ** 2, phi_u, phi_u))
+            b_lm = np.einsum("tq,qi,tqj->tij", w_b * zeta_q, phi_u, div_v)
+            add("lam", "mu", dd * b_lm)
+            add("mu", "lam", dd * b_lm.transpose(0, 2, 1))
+        if ga:
+            add("mu", "mu", dd * ga * cls.vector_mass(W, phi_v, phi_v))
+        if w_b is not None:
+            add("mu", "mu", dd * np.einsum("tq,tqi,tqj->tij", w_b, div_v,
+                                           div_v))
+
+        offsets, n_dofs = spaces.offsets()
+        rhs = np.zeros(n_dofs)
+
+        def load(name, contrib):
+            dofs = spaces.by_name(name).element_dofs() + offsets[name]
+            np.add.at(rhs, dofs.ravel(), contrib.ravel())
+
+        if q_q is not None and w_ts is not None and zeta_q is not None:
+            load("u", np.einsum("tq,qi->ti", w_ts * zeta_q * q_q, phi_u))
+        if f_q is not None:
+            load("u", np.einsum("tq,qi->ti", W * f_q, phi_u))
+        if e_dat is not None:
+            load("e", (1.0 - ga) * np.einsum("tq,tqc,qi->tic", W, e_dat,
+                                             phi_v))
+            if ga:
+                load("mu", -dual_sign * ga * np.einsum(
+                    "tq,tqc,qi->tic", W, e_dat, phi_v))
+        if s_dat is not None:
+            load("s", (1.0 - et) * kp * np.einsum("tq,tqc,qi->tic", W,
+                                                  s_dat, phi_v))
+            if et:
+                load("lam", dual_sign * et * np.einsum(
+                    "tq,tqc,tqic->ti", W, s_dat, grad_u))
+        if q_q is not None:
+            if w_ts is not None:
+                load("s", np.einsum("tq,tqi->ti", w_ts * q_q, div_v))
+            load("lam", dual_sign * np.einsum("tq,qi->ti", W * q_q, phi_u))
+        if f_q is not None and w_b is not None:
+            if zeta_q is not None:
+                load("lam", -dual_sign * np.einsum(
+                    "tq,qi->ti", w_b * zeta_q * f_q, phi_u))
+            load("mu", -dual_sign * np.einsum("tq,tqi->ti", w_b * f_q,
+                                              div_v))
+        return blocks.blocks, rhs
+
+    @classmethod
+    def stability_blocks(cls, spaces, kappa, h):
+        ref = cls(spaces.mesh,
+                  quadrature(min(10, 2 * spaces.max_degree() + 1)))
+        W = ref.W
+        grad_u, phi_v, div_v = (ref.grad(spaces.u), ref.phi(spaces.e),
+                                ref.div(spaces.e))
+        stiff = np.einsum("tq,tqia,tqja->tij", W, grad_u, grad_u)
+        vmass = cls.vector_mass(W, phi_v, phi_v)
+        divg = np.einsum("tq,tqi,tqj->tij", W, div_v, div_v)
+        return {("u", "u"): stiff, ("e", "e"): vmass,
+                ("s", "s"): kappa * vmass + kappa * h ** 2 * divg,
+                ("lam", "lam"): stiff / kappa,
+                ("mu", "mu"): vmass + h ** 2 * divg}
+
+
+class BlockRecorder:
+    """Stands in for the assembly's block matrix: sums the element
+    matrices added to each block, a mass term spread over both
+    component diagonals of its vector block."""
+
+    def __init__(self, spaces):
+        self.spaces = spaces
+        self.blocks = {}
+
+    def add(self, row_name, col_name, mats):
+        key = (row_name, col_name)
+        self.blocks[key] = self.blocks.get(key, 0.0) + mats
+
+    def add_mass(self, row_name, col_name, mats):
+        nt, nr, nc = mats.shape
+        full = np.zeros((nt, nr, 2, nc, 2))
+        full[:, :, 0, :, 0] = full[:, :, 1, :, 1] = mats
+        self.add(row_name, col_name, full.reshape(nt, 2 * nr, 2 * nc))
+
+    def csr(self):
+        n_dofs = self.spaces.offsets()[1]
+        return sp.csr_matrix((n_dofs, n_dofs))
+
+
+def assert_close(value, reference, rtol=1e-13):
+    """Within rtol of the largest reference entry."""
+    value, reference = np.asarray(value), np.asarray(reference)
+    assert value.shape == reference.shape
+    scale = np.abs(reference).max()
+    assert np.abs(value - reference).max() <= rtol * scale
+
+
+def stored(mat):
+    """The stored pattern of a CSR matrix, as ones."""
+    return sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr),
+                         shape=mat.shape)
+
+
+@pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_element_matrices_and_loads_match_einsum_reference(
+        kind, k, make_problem, monkeypatch):
+    mesh, data = make_problem()
+    # the reference load has no Neumann part; every tag still needs data
+    data.neumann = {}
+    data.dirichlet = {tag: (None, None) for tag in mesh.boundary_tags}
+    form = Formulation(kind, k)
+    system = assemble(mesh, form, data)
+    ref_blocks, ref_rhs = EinsumReference.assemble(mesh, form, data)
+    assert_close(system.rhs, ref_rhs)
+
+    # the stored pattern drops only entries that are exactly zero
+    full = TripletReference(system.spaces)
+    for (row, col), mats in ref_blocks.items():
+        full.add(row, col, mats)
+    full = full.csr()
+    assert (stored(system.matrix) - stored(full)).max() == 0
+    dropped = full - full.multiply(stored(system.matrix))
+    dropped.eliminate_zeros()
+    assert dropped.nnz == 0
+
+    recorded = []
+
+    class Recording(BlockRecorder):
+        def csr(self):
+            recorded.append(self.blocks)
+            return super().csr()
+
+    monkeypatch.setattr(forms, "_BlockMatrix", Recording)
+    assemble(mesh, form, data)
+    h = mesh_size(mesh)
+    stability_norm_matrix(system.spaces, 1.3, h)
+    ref_gram = EinsumReference.stability_blocks(system.spaces, 1.3, h)
+    for blocks, ref in zip(recorded, (ref_blocks, ref_gram)):
+        assert set(blocks) == set(ref)
+        for key, mats in blocks.items():
+            assert_close(mats, ref[key])
+
+
+@pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_field_evaluation_matches_einsum_reference(kind, k, make_problem):
+    mesh, _ = make_problem()
+    spaces = Formulation(kind, k).build_spaces(mesh)
+    rule = quadrature(forms.default_quad_exactness(spaces))
+    tab = elements.Tabulation(mesh, rule)
+    ref = EinsumReference(mesh, rule)
+    assert_close(np.stack(tab.xy), ref.xy)
+    lattice = elements.lattice_nodes(k + 1)
+    assert_close(elements.physical_points(mesh, lattice),
+                 EinsumReference.physical_points(mesh, lattice))
+    rng = np.random.default_rng(k)
+    for space in (spaces.u, spaces.e):
+        coeffs = rng.standard_normal(space.n_dofs)
+        assert_close(tab.values(space, coeffs), ref.values(space, coeffs))
+        if space.value_rank == "vector2":
+            assert_close(tab.divergence(space, coeffs),
+                         ref.divergence(space, coeffs))
+        else:
+            assert_close(tab.gradient(space, coeffs),
+                         ref.gradient(space, coeffs))
+        assert_close(tab.grad(space), ref.grad(space))
+
+    def scalar(x, y):
+        return np.sin(3 * x) * np.cos(2 * y) + x * y
+
+    def vector(x, y):
+        return np.stack([np.exp(x - y), x * y ** 2], axis=-1)
+
+    for rank, f in (("scalar", scalar), ("vector2", vector)):
+        space = elements.build_space(mesh, "DG", k, rank)
+        assert_close(interpolate(space, f),
+                     EinsumReference.interpolate(space, f))
 
 
 def reference_elimination(system, data):
@@ -579,12 +916,21 @@ def test_elimination_inserts_a_missing_diagonal():
 
 
 def test_assembly_is_deterministic():
-    mesh = unit_square_mesh(3)
-    data = problem_data_for(case1(), mesh)
-    a = assemble(mesh, Formulation("eo_full", 0), data)
-    b = assemble(mesh, Formulation("eo_full", 0), data)
-    assert abs(a.matrix - b.matrix).max() == 0.0
-    assert np.array_equal(a.rhs, b.rhs)
+    # bitwise: factor reuse keys on a digest of the constrained matrix
+    for make_problem in (square_problem, sector_problem):
+        mesh, data = make_problem()
+        for kind in ALL_KINDS:
+            for k in (0, 1, 2):
+                first, second = (assemble(mesh, Formulation(kind, k), data)
+                                 for _ in range(2))
+                for a, b in ((first, second),
+                             (apply_dirichlet(first, data),
+                              apply_dirichlet(second, data))):
+                    for name in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(a.matrix, name),
+                                              getattr(b.matrix, name))
+                    assert np.array_equal(a.rhs, b.rhs)
+                    assert matrix_digest(a.matrix) == matrix_digest(b.matrix)
 
 
 # ----------------------------------------------------------------------
