@@ -7,14 +7,13 @@ the flux and two Lagrange multipliers, in four discrete formulations
 (one mixed, three equal-order with increasing stabilization).
 """
 
-from .mesh import (Mesh, ElementGeometry, MeshFormatError, unit_square_mesh,
-                   sector_mesh, mesh_size, read_mesh, write_mesh)
+from .mesh import (Mesh, MeshFormatError, unit_square_mesh, sector_mesh,
+                   mesh_size, read_mesh, write_mesh)
 from .elements import (FeSpace, QuadratureRule, lagrange_eval, lagrange_grad,
                        quadrature, build_space, interpolate)
-from .forms import (StabilizationParams, LengthScale, Formulation,
-                    ProblemData, BlockSystem, ElementField, SpaceSet,
-                    assemble, apply_dirichlet, stabilization_lengths,
-                    stability_norm_matrix)
+from .forms import (StabilizationParams, Formulation, ProblemData,
+                    BlockSystem, ElementField, SpaceSet, assemble,
+                    apply_dirichlet, stability_norm_matrix)
 from .solver import SolverError, SingularSystemError, solve_direct
 from .manufactured import (ManufacturedCase, case1, case2, case3,
                            verify_strong_system)
@@ -27,13 +26,13 @@ from .postproc import (StudyReport, error_norms, convergence_rate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "ElementGeometry", "MeshFormatError", "unit_square_mesh",
-    "sector_mesh", "mesh_size", "read_mesh", "write_mesh",
+    "Mesh", "MeshFormatError", "unit_square_mesh", "sector_mesh",
+    "mesh_size", "read_mesh", "write_mesh",
     "FeSpace", "QuadratureRule", "lagrange_eval", "lagrange_grad",
     "quadrature", "build_space", "interpolate",
-    "StabilizationParams", "LengthScale", "Formulation", "ProblemData",
-    "BlockSystem", "ElementField", "SpaceSet", "assemble", "apply_dirichlet",
-    "stabilization_lengths", "stability_norm_matrix",
+    "StabilizationParams", "Formulation", "ProblemData", "BlockSystem",
+    "ElementField", "SpaceSet", "assemble", "apply_dirichlet",
+    "stability_norm_matrix",
     "SolverError", "SingularSystemError", "solve_direct",
     "ManufacturedCase", "case1", "case2", "case3", "verify_strong_system",
     "DataSet", "build_dataset", "assign_to_elements", "write_dataset_csv",

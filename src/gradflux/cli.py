@@ -26,6 +26,7 @@ from .study import (convergence_study, problem_data_for, sector_meshes,
                     solve_case, square_meshes)
 
 _CASES = ("case1", "case2", "case3")
+_COEFFICIENTS = ("alpha", "gamma", "eta", "theta", "beta")
 
 
 class ConfigError(ValueError):
@@ -41,11 +42,18 @@ def _number(field, value, integer=False):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
+    if integer and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:       # a JSON integer beyond the float range
+        raise ConfigError(f"{field}: expected a finite number, "
+                          f"got {value!r}") from None
     if not integer:
-        return float(value)
-    if not float(value).is_integer():
+        return number
+    if not number.is_integer():
         raise ConfigError(f"{field}: expected an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def _object(field, value):
@@ -69,12 +77,13 @@ class RunConfig:
                      | {"name": "case3", "nd": <int or null>}
         formulation: "natural" | "eo_unstab" | "eo_min" | "eo_full"
         k:           0 | 1 | 2
-        mesh:        {"sizes": [..], "grading": <real>=1>}
+        mesh:        {"sizes": [..] (non-empty), "grading": <real>=1>}
         kappa:       positive real (default 1)
         zeta:        real >= 0 (default 1)
-        stabilization: optional coefficient overrides
+        stabilization: optional, any of alpha, gamma, eta, theta, beta
         nd_list:     data-study sampling resolutions
-        quad_exactness, output, seed, fd_step: optional
+        output:      output directory (default "out")
+        quad_exactness, seed, fd_step: optional
     """
 
     def __init__(self, raw):
@@ -111,6 +120,8 @@ class RunConfig:
 
         mesh = _object("mesh", raw.get("mesh", {}))
         self.sizes = _integers("mesh.sizes", mesh.get("sizes", [8, 16, 32]))
+        if not self.sizes:
+            raise ConfigError("mesh.sizes: expected at least one size")
         if any(n < 1 for n in self.sizes):
             raise ConfigError("mesh.sizes: entries must be >= 1")
         self.grading = _number("mesh.grading", mesh.get("grading", 2.0))
@@ -132,9 +143,16 @@ class RunConfig:
         stab = raw.get("stabilization")
         if stab is not None:
             stab = _object("stabilization", stab)
+            for name in stab:
+                if name not in _COEFFICIENTS:
+                    raise ConfigError(
+                        f"stabilization.{name}: unknown key; expected "
+                        "alpha, gamma, eta, theta or beta")
+            coeffs = {name: _number(f"stabilization.{name}", value)
+                      for name, value in stab.items()}
             try:
-                self.stabilization = StabilizationParams(**stab)
-            except (TypeError, ValueError) as err:
+                self.stabilization = StabilizationParams(**coeffs)
+            except ValueError as err:
                 raise ConfigError(f"stabilization: {err}") from None
         else:
             self.stabilization = None
@@ -149,6 +167,9 @@ class RunConfig:
             raise ConfigError(f"quad_exactness: expected 1..10, "
                               f"got {self.quad_exactness}")
         self.output = raw.get("output", "out")
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError(f"output: expected a directory name, "
+                              f"got {self.output!r}")
         self.seed = _number("seed", raw.get("seed", 0), integer=True)
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
@@ -178,10 +199,8 @@ class RunConfig:
         }
         if self.stabilization is not None:
             st = self.stabilization
-            out["stabilization"] = {
-                "alpha": st.alpha, "gamma": st.gamma, "eta": st.eta,
-                "theta": st.theta, "beta": st.beta,
-            }
+            out["stabilization"] = {name: getattr(st, name)
+                                    for name in _COEFFICIENTS}
         return out
 
     def build_case(self):
@@ -211,7 +230,12 @@ def load_config(path):
 
 def _outdir(config, override):
     path = override or config.output
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        field = "--out" if override else "output"
+        raise ConfigError(f"{field}: cannot create directory {path!r} "
+                          f"({err.strerror})") from None
     return path
 
 

@@ -1,17 +1,17 @@
 """Assembly of the coupled five-field linear system.
 
-The unknown vector concatenates (u | e | s | lambda | mu).  The default
-sign convention negates the two multiplier equations, which makes the
-primal-primal and dual-dual diagonal blocks symmetric and the coupling
-blocks skew (K[primal, dual] = -K[dual, primal]^T); a flag exposes the
-symmetric-indefinite variant with the multiplier rows unnegated.
+The unknown vector concatenates (u | e | s | lambda | mu).  The two
+multiplier equations are negated, which makes the primal-primal and
+dual-dual diagonal blocks symmetric and the coupling blocks skew
+(K[primal, dual] = -K[dual, primal]^T).
 
 Stabilized terms follow the augmented saddle-point functional: compatible
 and data-misfit squares weighted by alpha/gamma/eta, and elementwise
 residual squares of the two balance equations weighted by theta/beta and
-squared length scales.  The auxiliary verification source enters both the
-potential equation load and the multiplier-balance misfit so the method
-stays consistent with source-augmented manufactured solutions.
+the squared element diameter h_K.  The auxiliary verification source
+enters both the potential equation load and the multiplier-balance misfit
+so the method stays consistent with source-augmented manufactured
+solutions.
 """
 
 import numbers
@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from . import elements
 from .elements import (Tabulation, build_space, gauss_legendre_01,
                        integrate, quadrature)
-from .mesh import mesh_size
 
 FIELD_NAMES = ("u", "e", "s", "lam", "mu")
 FORMULATION_KINDS = ("natural", "eo_unstab", "eo_min", "eo_full")
@@ -37,43 +36,14 @@ _CONFLICT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class LengthScale:
-    """Stabilization length scale: per-element diameter, global mesh
-    size, or a fixed value."""
-
-    mode: str                   # "per_element_hK" | "global_h" | "fixed"
-    value: float = 0.0
-
-    _MODES = ("per_element_hK", "global_h", "fixed")
-
-    def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"unknown length-scale mode {self.mode!r}")
-        if self.mode == "fixed" and not 0.0 <= self.value < np.inf:
-            raise ValueError(f"fixed length scale must be a finite number "
-                             f">= 0, got {self.value}")
-
-    @classmethod
-    def per_element(cls):
-        return cls("per_element_hK")
-
-    @classmethod
-    def global_mesh(cls):
-        return cls("global_h")
-
-    @classmethod
-    def fixed(cls, value):
-        return cls("fixed", float(value))
-
-
-@dataclass(frozen=True)
 class StabilizationParams:
     """Coefficients of the augmented functional.
 
     gamma and eta must stay below one so the gradient and flux misfit
     keep positive weights (1 - gamma), (1 - eta); alpha must not exceed
     1/4 or the potential-gradient coercivity term alpha - 4 alpha^2
-    turns negative.
+    turns negative.  theta and beta weight the elementwise balance
+    residuals by h_K^2, h_K the element diameter.
     """
 
     alpha: float = 0.0
@@ -81,8 +51,6 @@ class StabilizationParams:
     eta: float = 0.0
     theta: float = 0.0
     beta: float = 0.0
-    ell_s: LengthScale = field(default_factory=LengthScale.per_element)
-    ell_mu: LengthScale = field(default_factory=LengthScale.per_element)
 
     def __post_init__(self):
         for name in ("alpha", "gamma", "eta", "theta", "beta"):
@@ -96,10 +64,6 @@ class StabilizationParams:
             raise ValueError(f"eta must be < 1, got {self.eta}")
         if self.alpha > 0.25:
             raise ValueError(f"alpha must be <= 1/4, got {self.alpha}")
-        for name in ("ell_s", "ell_mu"):
-            if not isinstance(getattr(self, name), LengthScale):
-                raise ValueError(f"{name} must be a LengthScale, got "
-                                 f"{getattr(self, name)!r}")
 
     @classmethod
     def none(cls):
@@ -114,19 +78,6 @@ class StabilizationParams:
         return cls(alpha=0.125, gamma=0.125, eta=0.5, theta=0.5, beta=0.5)
 
 
-def stabilization_lengths(mesh, params):
-    """Per-element length scales (ell_s, ell_mu)."""
-
-    def expand(scale):
-        if scale.mode == "per_element_hK":
-            return np.array(mesh.diameters)
-        if scale.mode == "global_h":
-            return np.full(mesh.n_triangles, mesh_size(mesh))
-        return np.full(mesh.n_triangles, scale.value)
-
-    return expand(params.ell_s), expand(params.ell_mu)
-
-
 @dataclass(frozen=True)
 class Formulation:
     """Choice of discrete spaces plus default stabilization.
@@ -134,8 +85,7 @@ class Formulation:
     natural    : scalars CG_{k+1}, vectors DG_k; no stabilization needed.
     eo_unstab  : everything CG_{k+1}; all coefficients zero.
     eo_min     : eo spaces with alpha = 1/8, eta = 1/2.
-    eo_full    : eo spaces with all coefficients on and length scales
-                 tied to the element size.
+    eo_full    : eo spaces with all coefficients on.
     """
 
     kind: str
@@ -295,7 +245,6 @@ class BlockSystem:
     offsets: dict
     n_dofs: int
     spaces: SpaceSet
-    symmetric_variant: bool = False
     # (dofs, values) of the strong boundary conditions, sorted by dof
     constrained: tuple = field(default_factory=lambda: (
         np.empty(0, dtype=np.int64), np.empty(0)))
@@ -517,8 +466,7 @@ def default_quad_exactness(spaces):
     return min(10, 2 * spaces.max_degree() + 3)
 
 
-def assemble(mesh, formulation, data, params=None, quad_exactness=None,
-             symmetric_variant=False):
+def assemble(mesh, formulation, data, params=None, quad_exactness=None):
     """Assemble the coupled system for one formulation.
 
     Returns the pre-Dirichlet :class:`BlockSystem`; strong boundary
@@ -536,7 +484,7 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     kp = float(data.kappa)
     al, ga, et = params.alpha, params.gamma, params.eta
     th, bt = params.theta, params.beta
-    ell_s, ell_mu = stabilization_lengths(mesh, params)
+    h = mesh.diameters
 
     W = tab.W
     X, Y = tab.xy
@@ -546,8 +494,8 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     e_dat = _vector_at(data.e_data, X, Y)
     s_dat = _vector_at(data.s_data, X, Y)
 
-    w_ts = th * kp * (ell_s ** 2)[:, None] * W if th else None
-    w_b = bt * (ell_mu ** 2)[:, None] * W if bt else None
+    w_ts = th * kp * (h ** 2)[:, None] * W if th else None
+    w_b = bt * (h ** 2)[:, None] * W if bt else None
 
     phi_u = tab.phi(spaces.u)
     grad_u = tab.grad(spaces.u)
@@ -578,34 +526,32 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
     if w_ts is not None:
         add("s", "s", integrate(w_ts, div_v, div_v))
 
-    # --- primal-dual coupling (skew) ------------------------------------
-    dual_sign = 1.0 if symmetric_variant else -1.0
+    # --- primal-dual coupling (skew: the multiplier rows are negated) ---
     if zeta_q is not None:
         b_ul = integrate(W * zeta_q, phi_u, phi_u)
         add("u", "lam", b_ul)
-        add("lam", "u", dual_sign * b_ul.transpose(0, 2, 1))
+        add("lam", "u", -b_ul.transpose(0, 2, 1))
     add("u", "mu", -grad_v)
-    add("mu", "u", -dual_sign * grad_v.transpose(0, 2, 1))
+    add("mu", "u", grad_v.transpose(0, 2, 1))
     b_em = (1.0 - ga) * mass_v
     add_mass("e", "mu", b_em)
-    add_mass("mu", "e", dual_sign * b_em.transpose(0, 2, 1))
+    add_mass("mu", "e", -b_em.transpose(0, 2, 1))
     b_sl = -(1.0 - et) * grad_v.transpose(0, 2, 1)
     add("s", "lam", b_sl)
-    add("lam", "s", dual_sign * b_sl.transpose(0, 2, 1))
+    add("lam", "s", -b_sl.transpose(0, 2, 1))
 
     # --- dual-dual ------------------------------------------------------
-    dd = -dual_sign  # +1 in the default convention, -1 when symmetric
     if et:
-        add("lam", "lam", dd * (et / kp) * stiff)
+        add("lam", "lam", (et / kp) * stiff)
     if w_b is not None and zeta_q is not None:
-        add("lam", "lam", dd * integrate(w_b * zeta_q ** 2, phi_u, phi_u))
+        add("lam", "lam", integrate(w_b * zeta_q ** 2, phi_u, phi_u))
         b_lm = integrate(w_b * zeta_q, phi_u, div_v)
-        add("lam", "mu", dd * b_lm)
-        add("mu", "lam", dd * b_lm.transpose(0, 2, 1))
+        add("lam", "mu", b_lm)
+        add("mu", "lam", b_lm.transpose(0, 2, 1))
     if ga:
-        add_mass("mu", "mu", dd * ga * mass_v)
+        add_mass("mu", "mu", ga * mass_v)
     if w_b is not None:
-        add("mu", "mu", dd * integrate(w_b, div_v, div_v))
+        add("mu", "mu", integrate(w_b, div_v, div_v))
 
     matrix = blocks.csr()
 
@@ -623,35 +569,33 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None,
         fe = integrate(W, phi_v, e_dat)           # (nt, n_local, 2)
         load("e", (1.0 - ga) * fe)
         if ga:
-            load("mu", -dual_sign * ga * fe)
+            load("mu", ga * fe)
     if s_dat is not None:
         load("s", (1.0 - et) * kp * integrate(W, phi_v, s_dat))
         if et:
-            load("lam", dual_sign * et
+            load("lam", -et
                  * sum(integrate(W * s_dat[..., c], grad_u[..., c])
                        for c in range(2)))
     if q_q is not None:
         if w_ts is not None:
             load("s", integrate(w_ts * q_q, div_v))
-        load("lam", dual_sign * integrate(W * q_q, phi_u))
+        load("lam", -integrate(W * q_q, phi_u))
     if f_q is not None and w_b is not None:
         if zeta_q is not None:
-            load("lam", -dual_sign * integrate(w_b * zeta_q * f_q, phi_u))
-        load("mu", -dual_sign * integrate(w_b * f_q, div_v))
+            load("lam", integrate(w_b * zeta_q * f_q, phi_u))
+        load("mu", integrate(w_b * f_q, div_v))
 
-    _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
-                       dual_sign)
+    _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness)
 
     return BlockSystem(matrix=matrix, rhs=rhs, offsets=offsets,
-                       n_dofs=n_dofs, spaces=spaces,
-                       symmetric_variant=symmetric_variant)
+                       n_dofs=n_dofs, spaces=spaces)
 
 
-def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
-                       dual_sign):
+def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness):
     """Boundary loads from integration by parts of the flux and
     multiplier terms: -(g_mu, du) on the potential equation and
-    -(g_s, dlam) on the (unnegated) multiplier equation."""
+    -(g_s, dlam) on the unnegated multiplier equation, so +(g_s, dlam)
+    on the negated one."""
     if not data.neumann:
         return
     mesh = spaces.mesh
@@ -682,7 +626,7 @@ def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness,
         xq = pa[:, None] + ts[:, None] * tangent[:, None]
         edge_w = ws * length[:, None]
         gdofs = space.dof_map[elem]
-        for g, name, sign in ((g_mu, "u", -1.0), (g_s, "lam", -dual_sign)):
+        for g, name, sign in ((g_mu, "u", -1.0), (g_s, "lam", 1.0)):
             if g is not None:
                 gv = np.asarray(g(xq[..., 0], xq[..., 1], nx, ny),
                                 dtype=float)
@@ -747,7 +691,6 @@ def apply_dirichlet(system, data):
     matrix, rhs = _eliminate(system.matrix, system.rhs, idx, val)
     return BlockSystem(matrix=matrix, rhs=rhs, offsets=system.offsets,
                        n_dofs=system.n_dofs, spaces=system.spaces,
-                       symmetric_variant=system.symmetric_variant,
                        constrained=(idx, val))
 
 

@@ -1,8 +1,8 @@
 """Triangular meshes of the unit square and of circular-sector domains.
 
-Meshes are plain vertex/triangle/boundary-edge containers with a cached
-per-element geometry (Jacobian of the map from the reference triangle,
-areas, diameters).  All triangles are stored counter-clockwise and the
+Meshes are plain vertex/triangle/boundary-edge containers with cached
+element arrays (Jacobians of the map from the reference triangle, areas,
+diameters).  All triangles are stored counter-clockwise and the
 arrays are frozen after construction, so a mesh can be shared freely
 between threads.
 """
@@ -26,31 +26,6 @@ _GEOM_TOL = 1e-12
 
 class MeshFormatError(ValueError):
     """Raised when a mesh file or mesh data fails validation."""
-
-
-class ElementGeometry:
-    """Affine geometry of one triangle.
-
-    Attributes
-    ----------
-    jacobian : (2, 2) array
-        Map from the reference triangle {(0,0), (1,0), (0,1)} to the
-        physical element.
-    jacobian_det : float
-        Signed determinant (positive for CCW triangles).
-    area : float
-        Element area, equal to ``jacobian_det / 2``.
-    diameter : float
-        Longest edge length.
-    """
-
-    __slots__ = ("jacobian", "jacobian_det", "area", "diameter")
-
-    def __init__(self, jacobian, jacobian_det, area, diameter):
-        self.jacobian = jacobian
-        self.jacobian_det = jacobian_det
-        self.area = area
-        self.diameter = diameter
 
 
 class Mesh:
@@ -209,12 +184,6 @@ class Mesh:
             c.flags.writeable = False
             self._cache["centroids"] = c
         return c
-
-    def element_geometry(self, index):
-        """Typed geometry view of one element."""
-        jac, det, area, diam = self._geometry()
-        return ElementGeometry(jac[index], float(det[index]),
-                               float(area[index]), float(diam[index]))
 
     # ------------------------------------------------------------------
     # edge table (used by CG dof maps and boundary conditions)
@@ -385,11 +354,26 @@ def sector_mesh(phi, n, grading=1.0):
     triangles = [(0, first[i], first[i + 1]) for i in range(len(first) - 1)]
     for inner, outer in zip(rings[1:-1], rings[2:]):
         p, q = len(inner) - 1, len(outer) - 1
+        # With the front at (inner[i], outer[k]), a step closes the
+        # triangle whose new edge, inner[i]-outer[k + 1] or
+        # outer[k]-inner[i + 1], is not longer.  Edge length grows with
+        # the angle between the ends, so the front's ends stay less than
+        # one angular step of each ring apart, |i q / p - k| < q / p + 1;
+        # the lengths are computed for those fronts only, front (i, k) in
+        # column k - low[i] of row i.
+        reach = q // p + 2
+        low = np.arange(p) * q // p - reach
+        ks = np.clip(low[:, None] + np.arange(2 * reach + 2), 0, q - 1)
+        ii = np.arange(p)[:, None]
+        vi, vo = vertices[inner], vertices[outer]
+        to_outer = vi[ii] - vo[ks + 1]
+        to_inner = vo[ks] - vi[ii + 1]
+        take_outer = (np.hypot(to_outer[..., 0], to_outer[..., 1])
+                      <= np.hypot(to_inner[..., 0], to_inner[..., 1])).tolist()
+        low = low.tolist()
         i = k = 0
         while i < p or k < q:
-            if i == p or (k < q and
-                          _length(vertices, inner[i], outer[k + 1])
-                          <= _length(vertices, outer[k], inner[i + 1])):
+            if i == p or (k < q and take_outer[i][k - low[i]]):
                 triangles.append((inner[i], outer[k], outer[k + 1]))
                 k += 1
             else:
@@ -411,10 +395,6 @@ def sector_mesh(phi, n, grading=1.0):
     mesh = Mesh(vertices, np.array(triangles), np.array(edges), tags)
     _check_on_boundary(mesh, _sector_boundary_distance(psi))
     return mesh
-
-
-def _length(vertices, a, b):
-    return float(np.hypot(*(vertices[a] - vertices[b])))
 
 
 def _square_boundary_distance(tag, pts):

@@ -1,9 +1,12 @@
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradflux.cli import ConfigError, RunConfig, main
+from gradflux.forms import FORMULATION_KINDS, StabilizationParams
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -149,8 +152,41 @@ def test_non_length_scale_is_a_config_error(tmp_path, capsys):
                                    "mesh": {"sizes": [2]}})
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "stabilization: ell_s must be a LengthScale" in \
-        capsys.readouterr().err
+    assert "stabilization.ell_s: unknown key; expected alpha, gamma, eta, " \
+        "theta or beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"stabilization": {"theta": True}},
+     "stabilization.theta: expected a number, got True"),
+    ({"stabilization": {"alpha": "0.1"}},
+     "stabilization.alpha: expected a number, got '0.1'"),
+    ({"stabilization": {"beta": None}},
+     "stabilization.beta: expected a number, got None"),
+    ({"output": 5}, "output: expected a directory name, got 5"),
+    ({"output": ""}, "output: expected a directory name, got ''"),
+    ({"mesh": {"sizes": []}}, "mesh.sizes: expected at least one size"),
+    ({"kappa": 10 ** 400}, "kappa: expected a finite number, got 1000"),
+])
+def test_values_of_the_wrong_kind_exit_1_naming_the_field(tmp_path, capsys,
+                                                          payload, message):
+    path = write_config(tmp_path, payload)
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_output_that_cannot_be_a_directory_is_a_config_error(tmp_path,
+                                                             capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, {"output": str(taken)})
+    assert main(["solve", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: output: cannot create directory {str(taken)!r}")
+    assert main(["solve", "--config", path, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: --out: cannot create directory {str(taken)!r}")
 
 
 def test_coarse_fd_step_fails_verification(tmp_path):
@@ -264,3 +300,117 @@ def test_integral_floats_are_accepted():
     assert (config.k, config.sizes, config.seed) == (2, [4], 3)
     assert (config.quad_exactness, config.nd_list) == (5, [2])
     assert isinstance(config.k, int)
+
+
+# ----------------------------------------------------------------------
+# any JSON value under any known key either passes validation with fields
+# of their documented type and range, or raises ConfigError
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.just(10 ** 400) | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+CASES = ("case1", "case2", "case3")
+COEFFICIENTS = ("alpha", "gamma", "eta", "theta", "beta")
+
+
+def section(required=(), **optional):
+    return st.fixed_dictionaries(dict(required), optional=optional)
+
+
+# Configs of the documented shape, mostly valid.
+SHAPED = section(
+    case=st.sampled_from(CASES)
+    | section([("name", st.sampled_from(CASES))],
+              phi=st.floats(0.1, 3.0), nd=st.integers(1, 70)),
+    formulation=st.sampled_from(FORMULATION_KINDS),
+    k=st.integers(0, 2),
+    mesh=section(sizes=st.lists(st.integers(1, 40), max_size=4),
+                 grading=st.floats(1.0, 3.0)),
+    kappa=st.floats(0.1, 3.0),
+    zeta=st.floats(0.0, 3.0),
+    stabilization=st.dictionaries(st.sampled_from(COEFFICIENTS),
+                                  st.floats(0.0, 0.2), max_size=3),
+    nd_list=st.lists(st.integers(1, 70), max_size=3),
+    quad_exactness=st.integers(1, 10),
+    output=st.text(min_size=1, max_size=8),
+    seed=st.integers(0, 2 ** 70),
+    fd_step=st.floats(1e-7, 1e-2),
+)
+KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
+        "stabilization", "nd_list", "quad_exactness", "output", "seed",
+        "fd_step")
+SUBKEYS = {"case": ("name", "phi", "nd"), "mesh": ("sizes", "grading"),
+           "stabilization": COEFFICIENTS + ("ell_s",)}
+
+
+@st.composite
+def configs(draw):
+    """A shaped config with at most one entry, a key, a section's key or
+    a list item, replaced by an arbitrary JSON value."""
+    raw = draw(SHAPED)
+    spots = [None] + [(raw, key) for key in KEYS]
+    for name, keys in SUBKEYS.items():
+        if isinstance(raw.get(name), dict):
+            spots += [(raw[name], key) for key in keys]
+    for items in (raw.get("mesh", {}).get("sizes"), raw.get("nd_list")):
+        spots += [(items, i) for i in range(len(items or ()))]
+    spot = draw(st.sampled_from(spots))
+    if spot is not None:
+        container, key = spot
+        container[key] = draw(JSON_LEAVES | JSON_VALUES)
+    return raw
+
+
+def finite_float(value):
+    return type(value) is float and math.isfinite(value)
+
+
+def exact_int(value):
+    return type(value) is int
+
+
+def assert_documented_fields(config):
+    assert config.case_name in CASES
+    assert type(config.phi) is float
+    if config.case_name == "case2":
+        assert 0.0 < config.phi < math.pi
+    assert config.nd is None or (exact_int(config.nd) and config.nd >= 1)
+    assert config.kind in FORMULATION_KINDS
+    assert exact_int(config.k) and config.k in (0, 1, 2)
+    assert config.k == 0 or config.case_name == "case1"
+    assert isinstance(config.sizes, list) and config.sizes
+    assert all(exact_int(n) and n >= 1 for n in config.sizes)
+    assert finite_float(config.grading) and config.grading >= 1.0
+    assert finite_float(config.kappa) and config.kappa > 0.0
+    assert finite_float(config.zeta) and config.zeta >= 0.0
+    if config.stabilization is not None:
+        st_ = config.stabilization
+        assert type(st_) is StabilizationParams
+        assert all(finite_float(getattr(st_, name)) and getattr(st_, name)
+                   >= 0.0 for name in COEFFICIENTS)
+        assert st_.alpha <= 0.25 and st_.gamma < 1.0 and st_.eta < 1.0
+    assert isinstance(config.nd_list, list)
+    assert all(exact_int(nd) and nd >= 1 for nd in config.nd_list)
+    assert config.quad_exactness is None or (
+        exact_int(config.quad_exactness)
+        and 1 <= config.quad_exactness <= 10)
+    assert type(config.output) is str and config.output
+    assert exact_int(config.seed) and config.seed >= 0
+    assert finite_float(config.fd_step) and config.fd_step > 0.0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(configs(), configs(), JSON_VALUES))
+def test_any_json_config_is_valid_or_a_config_error(raw):
+    try:
+        config = RunConfig(raw)
+    except ConfigError:
+        return
+    assert_documented_fields(config)
+    assert RunConfig(config.to_dict()).to_dict() == config.to_dict()

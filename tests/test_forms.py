@@ -4,10 +4,9 @@ import scipy.sparse as sp
 
 from gradflux import elements, forms
 from gradflux.elements import gauss_legendre_01, interpolate, quadrature
-from gradflux.forms import (ElementField, Formulation, LengthScale,
-                            ProblemData, StabilizationParams, apply_dirichlet,
-                            assemble, dirichlet_values, stability_norm_matrix,
-                            stabilization_lengths)
+from gradflux.forms import (ElementField, Formulation, ProblemData,
+                            StabilizationParams, apply_dirichlet, assemble,
+                            dirichlet_values, stability_norm_matrix)
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import Mesh, mesh_size, sector_mesh, unit_square_mesh
 from gradflux.solver import matrix_digest, solve_direct
@@ -79,40 +78,6 @@ def test_formulation_space_families():
     assert eo.u is eo.lam and eo.e is eo.s is eo.mu
 
 
-def test_stabilization_lengths_modes():
-    mesh = unit_square_mesh(4)
-    per_elem = StabilizationParams(ell_s=LengthScale.per_element(),
-                                   ell_mu=LengthScale.per_element())
-    glob = StabilizationParams(ell_s=LengthScale.global_mesh(),
-                               ell_mu=LengthScale.global_mesh())
-    fixed = StabilizationParams(ell_s=LengthScale.fixed(0.0),
-                                ell_mu=LengthScale.fixed(0.0))
-    ls, lm = stabilization_lengths(mesh, glob)
-    assert np.allclose(ls, np.sqrt(2) / 4) and np.allclose(lm, ls)
-    ls_e, _ = stabilization_lengths(mesh, per_elem)
-    assert np.allclose(ls_e, ls)   # uniform mesh: h_K == h
-    ls0, lm0 = stabilization_lengths(mesh, fixed)
-    assert np.all(ls0 == 0.0) and np.all(lm0 == 0.0)
-    with pytest.raises(ValueError):
-        LengthScale("h_max")
-
-
-def test_zero_length_scales_kill_stabilized_terms():
-    mesh = unit_square_mesh(2)
-    case = case1()
-    data = pure_dirichlet(case)
-    full0 = StabilizationParams(alpha=0.125, gamma=0.125, eta=0.5,
-                                theta=0.5, beta=0.5,
-                                ell_s=LengthScale.fixed(0.0),
-                                ell_mu=LengthScale.fixed(0.0))
-    plain = StabilizationParams(alpha=0.125, gamma=0.125, eta=0.5)
-    form = Formulation("eo_full", 0)
-    a = assemble(mesh, form, data, params=full0)
-    b = assemble(mesh, form, data, params=plain)
-    assert abs(a.matrix - b.matrix).max() < 1e-14
-    assert np.abs(a.rhs - b.rhs).max() < 1e-14
-
-
 # ----------------------------------------------------------------------
 # problem data
 
@@ -144,8 +109,6 @@ def test_problem_data_rejects_non_finite_coefficients(kwargs, message):
 def test_stabilization_rejects_non_finite_coefficients(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number"):
         StabilizationParams(**{name: value})
-    with pytest.raises(ValueError, match="fixed length scale"):
-        LengthScale.fixed(value)
 
 
 def test_element_field_validation():
@@ -212,7 +175,7 @@ def test_quadratic_form_equals_symmetric_parts():
     mu = tab.values(spaces.mu, sol["mu"])
     div_s = tab.divergence(spaces.s, sol["s"])
     div_mu = tab.divergence(spaces.mu, sol["mu"])
-    ell_s, ell_mu = stabilization_lengths(mesh, params)
+    h = mesh.diameters
     kp, zt = 1.7, 0.6
 
     def ip(a, b, weight=W):
@@ -222,9 +185,9 @@ def test_quadratic_form_equals_symmetric_parts():
     a_form = ((1 - params.gamma) * ip(e, e) + (1 - params.eta) * kp
               * ip(s, s) + params.alpha * ip(e - gu, e - gu)
               + params.theta * kp * ip(div_s + zt * u, div_s + zt * u,
-                                       (ell_s ** 2)[:, None] * W))
+                                       (h ** 2)[:, None] * W))
     c_form = (params.beta * ip(div_mu + zt * lam, div_mu + zt * lam,
-                               (ell_mu ** 2)[:, None] * W)
+                               (h ** 2)[:, None] * W)
               + params.eta / kp * ip(glam, glam)
               + params.gamma * ip(mu, mu))
     quad_form = float(z @ (system.matrix @ z))
@@ -255,7 +218,7 @@ def discrete_functional(system, data, case, params, rule, z):
     mu = tab.values(spaces.mu, sol["mu"])
     div_s = tab.divergence(spaces.s, sol["s"])
     div_mu = tab.divergence(spaces.mu, sol["mu"])
-    ell_s, ell_mu = stabilization_lengths(mesh, params)
+    h = mesh.diameters
 
     def ip(a, b, weight=W):
         prod = np.sum(a * b, axis=-1) if a.ndim == 3 else a * b
@@ -269,10 +232,10 @@ def discrete_functional(system, data, case, params, rule, z):
     val += -params.eta / (2 * kp) * ip(r_flux, r_flux)
     r_cons = div_s + zt * u - qv
     val += 0.5 * params.theta * kp * ip(r_cons, r_cons,
-                                        (ell_s ** 2)[:, None] * W)
+                                        (h ** 2)[:, None] * W)
     r_dual = div_mu + zt * lam - fv
     val += -0.5 * params.beta * ip(r_dual, r_dual,
-                                   (ell_mu ** 2)[:, None] * W)
+                                   (h ** 2)[:, None] * W)
     val += -ip(fv, u)
 
     # Neumann additions: (g_s, lam) + (g_mu, u) over tagged edges
@@ -394,21 +357,6 @@ def test_skew_coupling_structure(kind):
     dual_primal = system.matrix[cut:, :cut]
     defect = abs(primal_dual + dual_primal.T).max()
     assert defect <= 1e-12 * abs(system.matrix).max()
-
-
-def test_symmetric_variant_is_symmetric_and_equivalent():
-    mesh = unit_square_mesh(3)
-    case = case1()
-    data = pure_dirichlet(case)
-    form = Formulation("eo_full", 0)
-    skewed = apply_dirichlet(assemble(mesh, form, data), data)
-    sym = apply_dirichlet(assemble(mesh, form, data,
-                                   symmetric_variant=True), data)
-    asym = abs(sym.matrix - sym.matrix.T).max()
-    assert asym <= 1e-12 * abs(sym.matrix).max()
-    x1 = solve_direct(skewed.matrix, skewed.rhs)
-    x2 = solve_direct(sym.matrix, sym.rhs)
-    assert np.abs(x1 - x2).max() <= 1e-9 * max(1.0, np.abs(x1).max())
 
 
 def test_reaction_free_decoupling():
@@ -622,14 +570,14 @@ class EinsumReference:
         kp = float(data.kappa)
         al, ga, et = params.alpha, params.gamma, params.eta
         th, bt = params.theta, params.beta
-        ell_s, ell_mu = stabilization_lengths(mesh, params)
+        h = mesh.diameters
         zeta_q = forms._scalar_at(data.zeta, X, Y)
         q_q = forms._scalar_at(data.q, X, Y)
         f_q = forms._scalar_at(data.f, X, Y)
         e_dat = forms._vector_at(data.e_data, X, Y)
         s_dat = forms._vector_at(data.s_data, X, Y)
-        w_ts = th * kp * (ell_s ** 2)[:, None] * W if th else None
-        w_b = bt * (ell_mu ** 2)[:, None] * W if bt else None
+        w_ts = th * kp * (h ** 2)[:, None] * W if th else None
+        w_b = bt * (h ** 2)[:, None] * W if bt else None
         phi_u, grad_u = ref.phi(spaces.u), ref.grad(spaces.u)
         phi_v, div_v = ref.phi(spaces.e), ref.div(spaces.e)
         blocks = BlockRecorder(spaces)
