@@ -27,6 +27,9 @@ from .study import (convergence_study, problem_data_for, sector_meshes,
 
 _CASES = ("case1", "case2", "case3")
 _COEFFICIENTS = ("alpha", "gamma", "eta", "theta", "beta")
+_KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
+         "stabilization", "nd_list", "quad_exactness", "output", "seed",
+         "fd_step")
 
 
 class ConfigError(ValueError):
@@ -56,9 +59,19 @@ def _number(field, value, integer=False):
     return int(number)
 
 
-def _object(field, value):
+def _known(prefix, section, keys):
+    """Raise a ConfigError naming the first key of ``section`` that is
+    not one of ``keys``."""
+    for name in section:
+        if name not in keys:
+            raise ConfigError(f"{prefix}{name}: unknown key; expected "
+                              f"{', '.join(keys[:-1])} or {keys[-1]}")
+
+
+def _object(field, value, keys):
     if not isinstance(value, dict):
         raise ConfigError(f"{field}: expected a JSON object, got {value!r}")
+    _known(f"{field}.", value, keys)
     return value
 
 
@@ -84,15 +97,19 @@ class RunConfig:
         nd_list:     data-study sampling resolutions
         output:      output directory (default "out")
         quad_exactness, seed, fd_step: optional
+
+    A key not listed here, at the top level or in a section, is an
+    error that names it.
     """
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
+        _known("", raw, _KEYS)
         case = raw.get("case", {"name": "case1"})
         if isinstance(case, str):
             case = {"name": case}
-        case = _object("case", case)
+        case = _object("case", case, ("name", "phi", "nd"))
         if case.get("name") not in _CASES:
             raise ConfigError(f"case.name: expected one of {_CASES}, "
                               f"got {case.get('name')!r}")
@@ -118,7 +135,7 @@ class RunConfig:
         if self.case_name in ("case2", "case3") and self.k != 0:
             raise ConfigError(f"k: {self.case_name} studies use k = 0 only")
 
-        mesh = _object("mesh", raw.get("mesh", {}))
+        mesh = _object("mesh", raw.get("mesh", {}), ("sizes", "grading"))
         self.sizes = _integers("mesh.sizes", mesh.get("sizes", [8, 16, 32]))
         if not self.sizes:
             raise ConfigError("mesh.sizes: expected at least one size")
@@ -142,12 +159,7 @@ class RunConfig:
 
         stab = raw.get("stabilization")
         if stab is not None:
-            stab = _object("stabilization", stab)
-            for name in stab:
-                if name not in _COEFFICIENTS:
-                    raise ConfigError(
-                        f"stabilization.{name}: unknown key; expected "
-                        "alpha, gamma, eta, theta or beta")
+            stab = _object("stabilization", stab, _COEFFICIENTS)
             coeffs = {name: _number(f"stabilization.{name}", value)
                       for name, value in stab.items()}
             try:
@@ -501,15 +513,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
         if args.config:
             config = load_config(args.config)
         else:
             config = RunConfig({})
-        threads = max(1, args.threads)
         out_dir = _outdir(config, args.out)
         handler = {"solve": cmd_solve, "convergence": cmd_convergence,
                    "data-study": cmd_data_study, "verify": cmd_verify}
-        return handler[args.command](config, out_dir, threads=threads)
+        return handler[args.command](config, out_dir, threads=args.threads)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -704,8 +704,6 @@ def _eliminate(matrix, rhs, idx, val):
     """
     matrix = sp.csr_matrix(matrix, copy=True)
     lifted = np.array(rhs, dtype=float)
-    if not len(idx):
-        return matrix, lifted
     matrix.sum_duplicates()
     n = matrix.shape[0]
     indptr, indices, values = matrix.indptr, matrix.indices, matrix.data

@@ -40,10 +40,13 @@ class Mesh:
         Vertex pairs lying on the domain boundary.
     boundary_tags : sequence of str, length nb
         One tag from ``BOUNDARY_TAGS`` per boundary edge.
+
+    Every mesh is validated on construction: one that is not a valid
+    edge-manifold triangulation with its boundary declared raises
+    MeshFormatError.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
-                 validate=True):
+    def __init__(self, vertices, triangles, boundary_edges, boundary_tags):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.boundary_edges = np.ascontiguousarray(boundary_edges,
@@ -52,8 +55,7 @@ class Mesh:
             self.boundary_edges = self.boundary_edges.reshape(0, 2)
         self.boundary_tags = tuple(boundary_tags)
         self._cache = {}
-        if validate:
-            self._validate()
+        self._validate()
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.flags.writeable = False
 

@@ -5,9 +5,10 @@ fill-reducing column ordering and threshold partial pivoting.  The
 contract is a relative residual below 1e-10, enforced with a few steps
 of iterative refinement; systems that cannot meet it raise.
 
-Factors of matrices that come back are reused.  In a data study only
-the right-hand side changes between data sets, so one matrix is solved
-against many loads; see :class:`FactorCache` for which factors are held.
+The factor of the largest matrix is reused when that matrix comes back
+soon.  In a data study only the right-hand side changes between data
+sets, so one matrix is solved against many loads; see
+:func:`solve_direct` for when the factor is held.
 
 Unknowns that couple only within their element are eliminated before
 the LU by :func:`condense`, and recovered after it.
@@ -15,7 +16,6 @@ the LU by :func:`condense`, and recovered after it.
 
 import hashlib
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,75 +58,11 @@ def matrix_digest(mat):
     return digest.digest()
 
 
-class FactorCache:
-    """SuperLU factors held for matrices that come back.
-
-    The bound is the largest factor built so far, in entries SuperLU
-    stores for L and U.  A factor is admitted only when its matrix comes
-    back after other matrices whose factors total no more than the
-    bound, i.e. when an LRU cache of that size would still have held it.
-    Held factors are evicted least recently used first so that their
-    total stays within the bound.  A sweep whose matrices come back only
-    after a larger one, or after many others, therefore holds nothing.
-
-    Lookups and bookkeeping take a lock; factorizations run outside it,
-    so concurrent solves of different matrices do not wait on each other.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._held = OrderedDict()     # digest -> SuperLU, least recent first
-        self._recent = OrderedDict()   # digest -> factor nnz, oldest first
-        self.bound = 0
-        self.held_nnz = 0
-
-    def __len__(self):
-        with self._lock:
-            return len(self._held)
-
-    def lookup(self, key):
-        """The held factor for ``key``, or None; marks it recently used."""
-        with self._lock:
-            lu = self._held.get(key)
-            if lu is not None:
-                self._held.move_to_end(key)
-                self._touch(key, lu.nnz)
-            return lu
-
-    def drop(self, key):
-        with self._lock:
-            lu = self._held.pop(key, None)
-            if lu is not None:
-                self.held_nnz -= lu.nnz
-
-    def record(self, key, lu):
-        """Note a fresh factorization of ``key``; hold it if its matrix
-        came back within the bound."""
-        nnz = lu.nnz
-        with self._lock:
-            self.bound = max(self.bound, nnz)
-            returned = key in self._recent
-            self._touch(key, nnz)
-            if key in self._held:
-                self._held.move_to_end(key)
-            elif returned:
-                while self.held_nnz + nnz > self.bound:
-                    self.held_nnz -= self._held.popitem(last=False)[1].nnz
-                self._held[key] = lu
-                self.held_nnz += nnz
-
-    def _touch(self, key, nnz):
-        """Make ``key`` the most recent solve.  A solve with more than
-        the bound of factor nnz solved after it is forgotten: its matrix
-        can no longer come back within the bound."""
-        self._recent[key] = nnz
-        self._recent.move_to_end(key)
-        after = sum(self._recent.values())
-        while after - next(iter(self._recent.values())) > self.bound:
-            after -= self._recent.popitem(last=False)[1]
-
-
-_FACTORS = FactorCache()
+# The matrix with the largest factor solved so far: its digest, its
+# factor's nnz, the factor entries built since it was last solved, and
+# its factor while held.  See solve_direct.
+_LARGEST = {"key": None, "nnz": 0, "since": 0, "lu": None}
+_LOCK = threading.Lock()
 
 
 def residual_norm(matrix, x, rhs):
@@ -173,9 +109,12 @@ def _refined_solve(lu, mat, rhs):
 def solve_direct(matrix, rhs):
     """Solve A x = b with sparse LU; relative residual <= 1e-10.
 
-    A held factor of the same matrix (same shape, pattern and stored
-    values) is reused and checked against the same contract; if it fails
-    the check it is dropped and the matrix factorized afresh.
+    The factor of the matrix with the largest factor solved so far is
+    held when that matrix comes back before more factor entries than its
+    own have been built in between; so at most one factor, the largest,
+    is held.  A held factor is reused for the same matrix (same shape,
+    pattern and stored values) and checked against the same contract; if
+    it fails the check the matrix is factorized afresh.
     """
     mat = _canonical_csr(matrix)
     rhs = np.asarray(rhs, dtype=float)
@@ -183,15 +122,28 @@ def solve_direct(matrix, rhs):
         raise ValueError(f"rhs shape {rhs.shape} does not match matrix "
                          f"dimension {mat.shape[0]}")
     key = matrix_digest(mat)
-    lu = _FACTORS.lookup(key)
+    slot = _LARGEST
+    with _LOCK:
+        lu = slot["lu"] if slot["key"] == key else None
+        if lu is not None:
+            slot["since"] = 0
     if lu is not None:
         try:
             return _refined_solve(lu, mat, rhs)
         except SolverError:
-            _FACTORS.drop(key)
+            pass
     lu = _factorize(mat)
     x = _refined_solve(lu, mat, rhs)
-    _FACTORS.record(key, lu)
+    with _LOCK:
+        if slot["key"] == key:
+            slot["lu"] = lu if slot["since"] <= slot["nnz"] else None
+            slot["since"] = 0
+        elif lu.nnz >= slot["nnz"]:
+            slot.update(key=key, nnz=lu.nnz, since=0, lu=None)
+        else:
+            slot["since"] += lu.nnz
+            if slot["since"] > slot["nnz"]:
+                slot["lu"] = None
     return x
 
 

@@ -82,10 +82,11 @@ def solve_case(mesh, formulation, case, dataset=None, params=None,
     the full constrained system.  ``n_solved`` counts the unknowns
     ``solve_direct`` saw.
 
-    The result holds coefficient vectors, not the matrix.  The solver
-    may keep the LU factor of the solved matrix for a later solve of the
-    same matrix, such as the next data set of a data study; see
-    :class:`gradflux.solver.FactorCache` for what it holds.
+    The result holds coefficient vectors, not the matrix.  When the
+    solved matrix has the largest factor solved so far, the solver may
+    keep its LU factor for a later solve of the same matrix, such as the
+    next data set of a data study; see
+    :func:`gradflux.solver.solve_direct` for when it is held.
     """
     data = problem_data_for(case, mesh, dataset)
     system = assemble(mesh, formulation, data, params=params,

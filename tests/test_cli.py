@@ -294,6 +294,37 @@ def test_sections_that_are_not_objects_are_config_errors(tmp_path, capsys,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"formulaton": "eo_full"},
+     "formulaton: unknown key; expected case, formulation, k, mesh, kappa, "
+     "zeta, stabilization, nd_list, quad_exactness, output, seed or "
+     "fd_step"),
+    ({"case": {"name": "case1", "ndd": 3}},
+     "case.ndd: unknown key; expected name, phi or nd"),
+    ({"mesh": {"sizes": [2], "size": 4}},
+     "mesh.size: unknown key; expected sizes or grading"),
+])
+def test_unknown_keys_exit_1_naming_the_key(tmp_path, capsys, payload,
+                                            message):
+    path = write_config(tmp_path, {"mesh": {"sizes": [2]}, **payload})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_1_naming_the_option(tmp_path, capsys,
+                                                    threads):
+    path = write_config(tmp_path, {"mesh": {"sizes": [2]}})
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", path, "--out", str(out),
+               "--threads", threads])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: --threads: must be >= 1, got {threads}\n"
+    assert not out.exists()
+
+
 def test_integral_floats_are_accepted():
     config = RunConfig({"k": 2.0, "mesh": {"sizes": [4.0]}, "seed": 3.0,
                         "quad_exactness": 5.0, "nd_list": [2.0]})
@@ -345,15 +376,26 @@ SHAPED = section(
 KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
         "stabilization", "nd_list", "quad_exactness", "output", "seed",
         "fd_step")
-SUBKEYS = {"case": ("name", "phi", "nd"), "mesh": ("sizes", "grading"),
-           "stabilization": COEFFICIENTS + ("ell_s",)}
+SECTIONS = {"case": ("name", "phi", "nd"), "mesh": ("sizes", "grading"),
+            "stabilization": COEFFICIENTS}
+SUBKEYS = {**SECTIONS, "stabilization": COEFFICIENTS + ("ell_s",)}
+# misspelt keys, and anything else that is no key of its section
+UNKNOWN_KEYS = (st.sampled_from(("formulaton", "ndd", "size", "Kappa"))
+                | st.text(max_size=4))
 
 
 @st.composite
 def configs(draw):
     """A shaped config with at most one entry, a key, a section's key or
-    a list item, replaced by an arbitrary JSON value."""
+    a list item, replaced by an arbitrary JSON value, and at most one
+    key drawn into the top level, ``case`` or ``mesh``, which may be
+    unknown there."""
     raw = draw(SHAPED)
+    sections = [None, raw] + [raw[name] for name in ("case", "mesh")
+                              if isinstance(raw.get(name), dict)]
+    target = draw(st.sampled_from(sections))
+    if target is not None:
+        target[draw(UNKNOWN_KEYS)] = draw(JSON_LEAVES)
     spots = [None] + [(raw, key) for key in KEYS]
     for name, keys in SUBKEYS.items():
         if isinstance(raw.get(name), dict):
@@ -405,12 +447,43 @@ def assert_documented_fields(config):
     assert finite_float(config.fd_step) and config.fd_step > 0.0
 
 
+def unknown_keys(raw):
+    """Names of the keys of ``raw`` and of its sections that RunConfig
+    does not define, in the order RunConfig reads them."""
+    if not isinstance(raw, dict):
+        return []
+    names = [key for key in raw if key not in KEYS]
+    for name, keys in SECTIONS.items():
+        if isinstance(raw.get(name), dict):
+            names += [f"{name}.{key}" for key in raw[name] if key not in keys]
+    return names
+
+
+def known_only(raw):
+    """``raw`` without the keys ``unknown_keys`` names."""
+    raw = {key: value for key, value in raw.items() if key in KEYS}
+    for name, keys in SECTIONS.items():
+        if isinstance(raw.get(name), dict):
+            raw[name] = {key: value for key, value in raw[name].items()
+                         if key in keys}
+    return raw
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.one_of(configs(), configs(), JSON_VALUES))
 def test_any_json_config_is_valid_or_a_config_error(raw):
+    unknown = unknown_keys(raw)
     try:
         config = RunConfig(raw)
-    except ConfigError:
+    except ConfigError as err:
+        if unknown:
+            try:
+                RunConfig(known_only(raw))
+            except ConfigError:
+                return
+            # the unknown key is the config's only fault: it is named
+            assert str(err).startswith(f"{unknown[0]}: unknown key")
         return
+    assert not unknown
     assert_documented_fields(config)
     assert RunConfig(config.to_dict()).to_dict() == config.to_dict()

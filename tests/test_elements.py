@@ -11,8 +11,8 @@ from gradflux.mesh import Mesh, unit_square_mesh
 
 def reference_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                np.array([[0, 1, 2]]), np.empty((0, 2), dtype=int), [],
-                validate=False)
+                np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
+                ["bottom", "right", "left"])
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradflux import elements, forms
 from gradflux.elements import gauss_legendre_01, interpolate, quadrature
@@ -20,7 +22,7 @@ def reference_triangle():
     return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]),
                 np.array([[0, 1], [1, 2], [2, 0]]),
-                ["bottom", "right", "left"], validate=False)
+                ["bottom", "right", "left"])
 
 
 def zero(x, y):
@@ -803,22 +805,25 @@ def test_field_evaluation_matches_einsum_reference(kind, k, make_problem):
                      EinsumReference.interpolate(space, f))
 
 
-def reference_elimination(system, data):
+def diagonal_products(matrix, rhs, idx, val):
     """The elimination through diagonal products: D A D + (I - D) and a
     full product for the lifted load."""
-    idx, val = dirichlet_values(system, data)
-    n = system.n_dofs
+    n = matrix.shape[0]
     x_bc = np.zeros(n)
     x_bc[idx] = val
-    lifted = system.rhs - system.matrix @ x_bc
+    lifted = rhs - matrix @ x_bc
     lifted[idx] = val
     keep = np.ones(n)
     keep[idx] = 0.0
     d_keep = sp.diags(keep)
-    matrix = (d_keep @ system.matrix @ d_keep
-              + sp.diags(1.0 - keep)).tocsr()
+    matrix = (d_keep @ matrix @ d_keep + sp.diags(1.0 - keep)).tocsr()
     matrix.sort_indices()
     return matrix, lifted
+
+
+def reference_elimination(system, data):
+    idx, val = dirichlet_values(system, data)
+    return diagonal_products(system.matrix, system.rhs, idx, val)
 
 
 @pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
@@ -861,6 +866,47 @@ def test_elimination_inserts_a_missing_diagonal():
     assert np.array_equal(constrained.matrix.data, matrix.data)
     for i in dofs:
         assert constrained.matrix[i, i] == 1.0
+
+
+FINITE = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def eliminations(draw):
+    """A random sparse matrix, with some rows stored empty and explicit
+    zeros among its entries, a load, and distinct dofs to fix with
+    their values: none, all or any subset, in any order."""
+    n = draw(st.integers(1, 9))
+    stored = draw(hnp.arrays(bool, (n, n)))
+    stored[draw(st.lists(st.integers(0, n - 1), max_size=n))] = False
+    values = draw(hnp.arrays(float, (n, n), elements=FINITE))
+    matrix = sp.csr_matrix((values[stored], np.nonzero(stored)),
+                           shape=(n, n))
+    order = draw(st.permutations(range(n)))
+    idx = np.array(order[:draw(st.integers(0, n))], dtype=np.int64)
+    val = draw(hnp.arrays(float, len(idx), elements=FINITE))
+    rhs = draw(hnp.arrays(float, n, elements=FINITE))
+    return matrix, rhs, idx, val
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(eliminations())
+def test_elimination_is_the_diagonal_products(problem):
+    matrix, rhs, idx, val = problem
+    before = matrix.copy()
+    result, lifted = forms._eliminate(matrix, rhs, idx, val)
+    expected, expected_load = diagonal_products(matrix, rhs, idx, val)
+    assert_canonical(result)
+    assert np.array_equal(result.indptr, expected.indptr)
+    assert np.array_equal(result.indices, expected.indices)
+    assert np.array_equal(result.data, expected.data)
+    x_bc = np.zeros(len(rhs))
+    x_bc[idx] = val
+    scale = np.abs(rhs) + abs(matrix) @ np.abs(x_bc)
+    assert np.all(np.abs(lifted - expected_load) <= 1e-14 * scale)
+    # the input is untouched
+    assert np.array_equal(matrix.data, before.data)
+    assert np.array_equal(matrix.indices, before.indices)
 
 
 def test_assembly_is_deterministic():

@@ -33,7 +33,8 @@ def test_mesh_size_values():
 def test_mesh_size_reference_triangle():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 np.array([[0, 1, 2]]),
-                np.empty((0, 2), dtype=int), [], validate=False)
+                np.array([[0, 1], [1, 2], [2, 0]]),
+                ["bottom", "right", "left"])
     assert mesh_size(mesh) == pytest.approx(np.sqrt(2))
 
 

@@ -12,18 +12,20 @@ from gradflux.forms import (Formulation, StabilizationParams,
                             apply_dirichlet, assemble)
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import sector_mesh, unit_square_mesh
-from gradflux.solver import (FactorCache, SingularSystemError, SolverError,
-                             condense, matrix_digest, residual_norm,
-                             solve_direct)
+from gradflux.solver import (SingularSystemError, SolverError, condense,
+                             matrix_digest, residual_norm, solve_direct)
 from gradflux.study import problem_data_for
 
 
+EMPTY_SLOT = {"key": None, "nnz": 0, "since": 0, "lu": None}
+
+
 @pytest.fixture(autouse=True)
-def factors(monkeypatch):
-    """A fresh factor cache for every test."""
-    cache = FactorCache()
-    monkeypatch.setattr(solver, "_FACTORS", cache)
-    return cache
+def slot(monkeypatch):
+    """A fresh slot for the largest matrix in every test."""
+    fresh = dict(EMPTY_SLOT)
+    monkeypatch.setattr(solver, "_LARGEST", fresh)
+    return fresh
 
 
 @pytest.fixture
@@ -144,12 +146,18 @@ def test_permutation_invariance():
 # factor reuse
 
 
-def test_hit_returns_the_fresh_solution_bitwise(factors, factorizations):
+def diagonal_matrix(n, shift=0.0):
+    """A diagonal matrix whose factor stores 2 n entries."""
+    return sp.diags(np.arange(1.0, n + 1) + shift).tocsr()
+
+
+def test_hit_returns_the_fresh_solution_bitwise(slot, factorizations):
     system = constrained_system(case3(), "eo_full", 0, 4)
     rhs = np.random.default_rng(20).standard_normal(system.n_dofs)
     solve_direct(system.matrix, system.rhs)
-    solve_direct(system.matrix, system.rhs)      # comes back: admitted
-    assert len(factors) == 1 and len(factorizations) == 2
+    assert slot["lu"] is None                    # first sight: not held
+    solve_direct(system.matrix, system.rhs)      # comes back: held
+    assert slot["lu"] is not None and len(factorizations) == 2
     x_hit = solve_direct(system.matrix, rhs)
     assert len(factorizations) == 2
     lu = spla.splu(system.matrix.tocsc())
@@ -157,12 +165,12 @@ def test_hit_returns_the_fresh_solution_bitwise(factors, factorizations):
     assert np.array_equal(x_hit, x_fresh)
 
 
-def test_changed_value_or_explicit_zero_is_a_miss(factors, factorizations):
+def test_changed_value_or_explicit_zero_is_a_miss(slot, factorizations):
     mat = dominant_matrix(60, 21)
     rhs = np.ones(60)
     for _ in range(3):
         solve_direct(mat, rhs)
-    assert len(factorizations) == 2 and len(factors) == 1
+    assert len(factorizations) == 2 and slot["lu"] is not None
 
     nudged = mat.copy()
     nudged.data[7] = np.nextafter(nudged.data[7], np.inf)
@@ -184,7 +192,7 @@ def test_changed_value_or_explicit_zero_is_a_miss(factors, factorizations):
         assert residual_norm(other, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_sweep_cycle_holds_no_factor(factors, factorizations):
+def test_sweep_cycle_holds_no_factor(slot, factorizations):
     # two sweeps of four growing meshes, as in a convergence study: each
     # matrix returns only after seven others, among them a larger one or
     # several whose factors outweigh it
@@ -195,13 +203,12 @@ def test_sweep_cycle_holds_no_factor(factors, factorizations):
     for _ in range(3):
         for system in systems:
             solve_direct(system.matrix, system.rhs)
-            assert len(factors) == 0 and factors.held_nnz == 0
+            assert slot["lu"] is None
     assert len(factorizations) == 24
-    assert factors.bound == max(factorizations)
+    assert slot["nnz"] == max(factorizations)
 
 
-def test_data_study_cycle_holds_what_fits_the_bound(factors,
-                                                    factorizations):
+def test_data_study_cycle_holds_what_fits_the_bound(slot, factorizations):
     # four data sets, each swept over the same three meshes: only the
     # data (the right-hand side) change
     systems = [constrained_system(case3(), "eo_full", 0, n)
@@ -215,23 +222,53 @@ def test_data_study_cycle_holds_what_fits_the_bound(factors,
             assert residual_norm(system.matrix, x, rhs) \
                 <= 1e-10 * np.linalg.norm(rhs)
     largest = matrix_digest(solver._canonical_csr(systems[-1].matrix))
-    assert list(factors._held) == [largest]
-    assert factors.held_nnz == factors.bound == max(factorizations)
+    assert slot["key"] == largest
+    assert slot["lu"].nnz == slot["nnz"] == max(factorizations)
     # the finest matrix was factorized twice, the two others every time
     assert len(factorizations) == 4 * 2 + 2
 
 
-def test_held_nnz_never_exceeds_the_largest_factor(factors, factorizations):
+def test_held_nnz_never_exceeds_the_largest_factor(slot, factorizations):
     matrices = [dominant_matrix(n, seed)
                 for seed, n in enumerate((40, 80, 120, 160, 200, 30))]
     rng = np.random.default_rng(23)
+    hits = 0
     for i in rng.integers(0, len(matrices), size=120):
+        before = len(factorizations)
         solve_direct(matrices[i], np.ones(matrices[i].shape[0]))
-        assert factors.held_nnz <= factors.bound == max(factorizations)
-        assert factors.held_nnz == sum(lu.nnz
-                                       for lu in factors._held.values())
-    assert len(factors) > 0
-    assert len(factorizations) < 120
+        hits += len(factorizations) == before
+        assert slot["nnz"] == max(factorizations)
+        assert slot["lu"] is None or slot["lu"].nnz == slot["nnz"]
+    assert hits > 0 and len(factorizations) == 120 - hits
+
+
+def test_largest_matrix_back_after_more_than_its_own_is_not_held(
+        slot, factorizations):
+    largest, smaller = diagonal_matrix(100), (diagonal_matrix(60),
+                                             diagonal_matrix(50))
+    for mat in (largest, *smaller, largest):
+        solve_direct(mat, np.ones(mat.shape[0]))
+    # 120 + 100 factor entries came between, more than its own 200
+    assert factorizations == [200, 120, 100, 200]
+    assert slot["lu"] is None and slot["since"] == 0
+    solve_direct(largest, np.ones(100))          # back at once: held
+    solve_direct(largest, np.ones(100))
+    assert len(factorizations) == 5 and slot["lu"] is not None
+    # a matrix with a factor as large takes the slot, not yet held
+    solve_direct(diagonal_matrix(100, 0.5), np.ones(100))
+    assert slot["lu"] is None and slot["nnz"] == 200
+    solve_direct(largest, np.ones(100))
+    assert len(factorizations) == 7
+
+
+def test_a_hit_restarts_the_count(slot, factorizations):
+    largest, smaller = diagonal_matrix(100), diagonal_matrix(60)
+    for mat in (largest, largest, smaller, largest, smaller, largest):
+        solve_direct(mat, np.ones(mat.shape[0]))
+    # each 120 entries come after a hit, within the held 200; together
+    # they would outweigh it
+    assert factorizations == [200, 200, 120, 120]
+    assert slot["lu"] is not None and slot["since"] == 0
 
 
 class Corrupted:
@@ -245,37 +282,39 @@ class Corrupted:
         return 2.0 * self._lu.solve(rhs)
 
 
-def test_corrupted_factor_is_refactorized(factors, factorizations,
+def test_corrupted_factor_is_refactorized(slot, factorizations,
                                          monkeypatch):
     mat = dominant_matrix(80, 24)
     rhs = np.random.default_rng(25).standard_normal(80)
     x_good = solve_direct(mat, rhs)
     solve_direct(mat, rhs)
-    key = matrix_digest(mat)
-    monkeypatch.setitem(factors._held, key, Corrupted(factors._held[key]))
+    monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
     assert len(factorizations) == 2
     x = solve_direct(mat, rhs)
     assert len(factorizations) == 3
     assert np.array_equal(x, x_good)
     assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert not isinstance(factors._held[key], Corrupted)
+    assert slot["lu"] is not None and not isinstance(slot["lu"], Corrupted)
+    solve_direct(mat, rhs)
+    assert len(factorizations) == 3
 
 
-def test_singular_matrix_is_never_cached(factors):
+def test_singular_matrix_is_never_cached(slot):
     mat = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     for _ in range(3):
         with pytest.raises(SingularSystemError):
             solve_direct(mat, np.array([1.0, 1.0]))
-    assert len(factors) == 0 and factors.bound == 0
-    assert not factors._recent
+    assert slot == EMPTY_SLOT
 
 
-def test_concurrent_solves_keep_the_books(factors):
+def test_concurrent_solves_keep_the_books(slot):
     matrices = [dominant_matrix(n, 30 + n) for n in (50, 90, 130, 170)]
     rhs = [np.random.default_rng(n).standard_normal(n)
            for n in (50, 90, 130, 170)]
-    expected = [solver._refined_solve(spla.splu(m.tocsc()), m, b)
-                for m, b in zip(matrices, rhs)]
+    factors = [spla.splu(m.tocsc()) for m in matrices]
+    expected = [solver._refined_solve(lu, m, b)
+                for lu, m, b in zip(factors, matrices, rhs)]
+    largest = max(lu.nnz for lu in factors)
     errors = []
     lock = threading.Lock()
 
@@ -286,10 +325,10 @@ def test_concurrent_solves_keep_the_books(factors):
             if not np.array_equal(x, expected[i]):
                 with lock:
                     errors.append(i)
-            held = factors.held_nnz
-            if held > factors.bound:
+            lu = slot["lu"]
+            if lu is not None and lu.nnz > largest:
                 with lock:
-                    errors.append(("held", held))
+                    errors.append(("held", lu.nnz))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -301,8 +340,9 @@ def test_concurrent_solves_keep_the_books(factors):
     finally:
         sys.setswitchinterval(interval)
     assert not errors
-    assert factors.held_nnz == sum(lu.nnz for lu in factors._held.values())
-    assert factors.held_nnz <= factors.bound
+    assert slot["key"] == matrix_digest(matrices[-1])
+    assert slot["nnz"] == largest
+    assert slot["lu"] is None or slot["lu"].nnz == largest
 
 
 # ----------------------------------------------------------------------

@@ -94,11 +94,13 @@ def test_solve_case_returns_record():
 
 
 def test_convergence_study_rows_and_threads(monkeypatch):
-    monkeypatch.setattr(solver, "_FACTORS", solver.FactorCache())
+    monkeypatch.setattr(solver, "_LARGEST", {"key": None, "nnz": 0,
+                                             "since": 0, "lu": None})
     case = case3()
     meshes = square_meshes([4, 8, 16])
     serial, _ = convergence_study(case, Formulation("natural", 0), meshes)
-    # the second threaded study reuses the factor the first one admitted
+    # the finest matrix comes back in the first threaded study and is
+    # held; the second one reuses its factor
     for _ in range(2):
         threaded, _ = convergence_study(case, Formulation("natural", 0),
                                         meshes, threads=2)
@@ -106,7 +108,7 @@ def test_convergence_study_rows_and_threads(monkeypatch):
             [r["h"] for r in threaded.rows]
         for mine, other in zip(serial.rows, threaded.rows):
             assert mine == other
-    assert len(solver._FACTORS) == 1
+    assert solver._LARGEST["lu"] is not None
     assert serial.rows[0]["h"] > serial.rows[-1]["h"]
     assert serial.rates()["u_L2"] == pytest.approx(2.0, abs=0.3)
 
