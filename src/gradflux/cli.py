@@ -28,8 +28,7 @@ from .study import (convergence_study, problem_data_for, sector_meshes,
 _CASES = ("case1", "case2", "case3")
 _COEFFICIENTS = ("alpha", "gamma", "eta", "theta", "beta")
 _KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
-         "stabilization", "nd_list", "quad_exactness", "output", "seed",
-         "fd_step")
+         "stabilization", "nd_list", "output")
 
 
 class ConfigError(ValueError):
@@ -96,10 +95,12 @@ class RunConfig:
         stabilization: optional, any of alpha, gamma, eta, theta, beta
         nd_list:     data-study sampling resolutions
         output:      output directory (default "out")
-        quad_exactness, seed, fd_step: optional
 
     A key not listed here, at the top level or in a section, is an
-    error that names it.
+    error that names it, and so is ``case.phi`` outside case2 or
+    ``case.nd`` outside case3.  Quadrature follows the formulation
+    (:func:`gradflux.forms.default_quad_exactness`); ``verify`` uses a
+    fixed finite-difference step and sampling seed.
     """
 
     def __init__(self, raw):
@@ -114,8 +115,12 @@ class RunConfig:
             raise ConfigError(f"case.name: expected one of {_CASES}, "
                               f"got {case.get('name')!r}")
         self.case_name = case["name"]
+        for name, owner in (("phi", "case2"), ("nd", "case3")):
+            if name in case and self.case_name != owner:
+                raise ConfigError(f"case.{name}: only {owner} takes it, "
+                                  f"got it for {self.case_name}")
         self.phi = _number("case.phi", case.get("phi", np.pi / 2))
-        if self.case_name == "case2" and not 0.0 < self.phi < np.pi:
+        if not 0.0 < self.phi < np.pi:
             raise ConfigError(f"case.phi: must lie in (0, pi), "
                               f"got {self.phi}")
         self.nd = case.get("nd")
@@ -172,48 +177,10 @@ class RunConfig:
         self.nd_list = _integers("nd_list", raw.get("nd_list", []))
         if any(nd < 1 for nd in self.nd_list):
             raise ConfigError("nd_list: entries must be >= 1")
-        qe = raw.get("quad_exactness")
-        self.quad_exactness = None if qe is None else \
-            _number("quad_exactness", qe, integer=True)
-        if qe is not None and not 1 <= self.quad_exactness <= 10:
-            raise ConfigError(f"quad_exactness: expected 1..10, "
-                              f"got {self.quad_exactness}")
         self.output = raw.get("output", "out")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output: expected a directory name, "
                               f"got {self.output!r}")
-        self.seed = _number("seed", raw.get("seed", 0), integer=True)
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        self.fd_step = _number("fd_step", raw.get("fd_step", 1e-5))
-        if not 0.0 < self.fd_step < np.inf:
-            raise ConfigError(f"fd_step: must be a positive finite number, "
-                              f"got {self.fd_step}")
-
-    def to_dict(self):
-        case = {"name": self.case_name}
-        if self.case_name == "case2":
-            case["phi"] = self.phi
-        if self.case_name == "case3":
-            case["nd"] = self.nd
-        out = {
-            "case": case,
-            "formulation": self.kind,
-            "k": self.k,
-            "mesh": {"sizes": self.sizes, "grading": self.grading},
-            "kappa": self.kappa,
-            "zeta": self.zeta,
-            "nd_list": self.nd_list,
-            "quad_exactness": self.quad_exactness,
-            "output": self.output,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-        }
-        if self.stabilization is not None:
-            st = self.stabilization
-            out["stabilization"] = {name: getattr(st, name)
-                                    for name in _COEFFICIENTS}
-        return out
 
     def build_case(self):
         if self.case_name == "case1":
@@ -262,8 +229,7 @@ def cmd_solve(config, out_dir, threads=1):
     if config.case_name == "case3" and config.nd:
         dataset = build_dataset(config.nd, case.e, case.s)
     res = solve_case(mesh, config.formulation(), case, dataset=dataset,
-                     params=config.stabilization,
-                     quad_exactness=config.quad_exactness)
+                     params=config.stabilization)
 
     for name, coeffs in res.solution.items():
         with open(os.path.join(out_dir, f"field_{name}.csv"), "w") as fh:
@@ -297,8 +263,7 @@ def cmd_convergence(config, out_dir, threads=1):
         dataset = build_dataset(config.nd, case.e, case.s)
     report, results = convergence_study(
         case, config.formulation(), meshes, dataset=dataset,
-        params=config.stabilization,
-        quad_exactness=config.quad_exactness, threads=threads)
+        params=config.stabilization, threads=threads)
     write_report(report, os.path.join(out_dir, "report.csv"))
     plot_loglog(report, os.path.join(out_dir, "report.svg"))
     rates = report.rates()
@@ -322,8 +287,7 @@ def cmd_data_study(config, out_dir, threads=1):
         dataset = build_dataset(nd, case.e, case.s)
         report, _ = convergence_study(
             case, config.formulation(), meshes, dataset=dataset,
-            params=config.stabilization,
-            quad_exactness=config.quad_exactness, threads=threads)
+            params=config.stabilization, threads=threads)
         write_report(report, os.path.join(out_dir, f"report_nd{nd}.csv"))
         plot_loglog(report, os.path.join(out_dir, f"report_nd{nd}.svg"))
         rates = report.rates()
@@ -350,15 +314,13 @@ def cmd_verify(config, out_dir, threads=1):
         # surfaced before any solve; invalid coefficients already raised
         print("[PASS] stabilization parameter invariants")
 
-    fd = config.fd_step
     cases = [manufactured.case1(), manufactured.case2(np.pi / 2),
              manufactured.case3()]
     for case in cases:
-        res = manufactured.verify_strong_system(case, n_samples=400,
-                                                fd_step=fd)
+        res = manufactured.verify_strong_system(case, n_samples=400)
         worst = max(res.values())
         check(f"strong optimality system: {case.name}", worst <= 1e-6,
-              f"max residual {worst:.2e}, fd_step {fd:g}")
+              f"max residual {worst:.2e}")
 
     from .elements import lagrange_eval, lagrange_grad, quadrature
     import math
@@ -377,7 +339,7 @@ def cmd_verify(config, out_dir, threads=1):
     check("quadrature monomial exactness (degrees 1-10)", worst <= 1e-14,
           f"max defect {worst:.2e}")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for degree in (1, 2, 3):
         pts = 0.1 + 0.4 * rng.random((10, 2))
@@ -393,9 +355,9 @@ def cmd_verify(config, out_dir, threads=1):
     check("basis gradients vs finite differences", worst <= 1e-7,
           f"max defect {worst:.2e}")
 
-    check_patch(check, config)
-    check_structure(check, config)
-    check_coercivity(check, config)
+    check_patch(check)
+    check_structure(check)
+    check_coercivity(check)
 
     if failures:
         print(f"{len(failures)} verification check(s) failed")
@@ -428,7 +390,7 @@ def _patch_case():
         q=zero, f=zero, div_e=zero, div_s=zero, div_mu=zero)
 
 
-def check_patch(check, config):
+def check_patch(check):
     patch = _patch_case()
     mesh = unit_square_mesh(4)
     for kind in FORMULATION_KINDS:
@@ -438,7 +400,7 @@ def check_patch(check, config):
               f"worst norm {worst:.2e}")
 
 
-def check_structure(check, config):
+def check_structure(check):
     case = manufactured.case1()
     mesh = unit_square_mesh(4)
     for kind in FORMULATION_KINDS:
@@ -473,7 +435,7 @@ def check_structure(check, config):
           f"max coupling entry {coupled:.2e}")
 
 
-def check_coercivity(check, config):
+def check_coercivity(check):
     zero = lambda x, y: np.zeros(np.shape(x))
     mesh = unit_square_mesh(16)
     data = ProblemData(kappa=1.0, zeta=1.0, q=0.0, f=0.0, e_data=0.0,
@@ -485,7 +447,7 @@ def check_coercivity(check, config):
     free = np.setdiff1d(np.arange(system.n_dofs),
                         dirichlet_values(system, data)[0])
     norm = stability_norm_matrix(system.spaces, 1.0, mesh_size(mesh))
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(0)
     worst = np.inf
     for _ in range(1000):
         z = np.zeros(system.n_dofs)

@@ -66,10 +66,6 @@ class StabilizationParams:
             raise ValueError(f"alpha must be <= 1/4, got {self.alpha}")
 
     @classmethod
-    def none(cls):
-        return cls()
-
-    @classmethod
     def minimal(cls):
         return cls(alpha=0.125, eta=0.5)
 
@@ -103,7 +99,7 @@ class Formulation:
             return StabilizationParams.minimal()
         if self.kind == "eo_full":
             return StabilizationParams.full()
-        return StabilizationParams.none()
+        return StabilizationParams()
 
     def build_spaces(self, mesh):
         scalar = build_space(mesh, "CG", self.k + 1, "scalar")
@@ -206,30 +202,20 @@ class ProblemData:
                 f"boundary tag(s) {sorted(missing)} lack boundary data")
 
 
-def _scalar_at(fld, x, y):
-    """Field values at physical points; None if identically zero."""
+def _field_at(fld, x, y, shape=()):
+    """Field values at physical points, each of trailing shape ``shape``
+    (``()`` for a scalar, ``(2,)`` for a vector); None if identically
+    zero."""
     if fld is None:
         return None
     if isinstance(fld, ElementField):
-        return np.broadcast_to(fld.values[:, None], x.shape)
+        return np.broadcast_to(fld.values[:, None], x.shape + shape)
     if isinstance(fld, (int, float)):
         if fld == 0.0:
             return None
-        return np.full(x.shape, float(fld))
-    return np.broadcast_to(np.asarray(fld(x, y), dtype=float), x.shape)
-
-
-def _vector_at(fld, x, y):
-    if fld is None:
-        return None
-    if isinstance(fld, ElementField):
-        return np.broadcast_to(fld.values[:, None, :], x.shape + (2,))
-    if isinstance(fld, (int, float)):
-        if fld == 0.0:
-            return None
-        return np.full(x.shape + (2,), float(fld))
+        return np.full(x.shape + shape, float(fld))
     return np.broadcast_to(np.asarray(fld(x, y), dtype=float),
-                           x.shape + (2,))
+                           x.shape + shape)
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +231,6 @@ class BlockSystem:
     offsets: dict
     n_dofs: int
     spaces: SpaceSet
-    # (dofs, values) of the strong boundary conditions, sorted by dof
-    constrained: tuple = field(default_factory=lambda: (
-        np.empty(0, dtype=np.int64), np.empty(0)))
 
     def field_slice(self, name):
         start = self.offsets[name]
@@ -461,24 +444,26 @@ class _BlockMatrix:
 
 
 def default_quad_exactness(spaces):
-    """2 * (max polynomial degree in the form) + 3; the margin controls
+    """Degree of the quadrature every integral over ``spaces`` uses:
+    2 * (max polynomial degree in the form) + 3; the margin controls
     the consistency error from non-polynomial data fields."""
     return min(10, 2 * spaces.max_degree() + 3)
 
 
-def assemble(mesh, formulation, data, params=None, quad_exactness=None):
+def assemble(mesh, formulation, data, params=None):
     """Assemble the coupled system for one formulation.
 
-    Returns the pre-Dirichlet :class:`BlockSystem`; strong boundary
-    conditions are applied separately by :func:`apply_dirichlet`.
+    Volume integrals use the rule of degree
+    :func:`default_quad_exactness`, Neumann edge integrals the Gauss
+    rule exact to the same degree.  Returns the pre-Dirichlet
+    :class:`BlockSystem`; strong boundary conditions are applied
+    separately by :func:`apply_dirichlet`.
     """
     data.check_tags(mesh)
     spaces = formulation.build_spaces(mesh)
     if params is None:
         params = formulation.params()
-    if quad_exactness is None:
-        quad_exactness = default_quad_exactness(spaces)
-    tab = Tabulation(mesh, quadrature(quad_exactness))
+    tab = Tabulation(mesh, quadrature(default_quad_exactness(spaces)))
     offsets, n_dofs = spaces.offsets()
 
     kp = float(data.kappa)
@@ -488,11 +473,11 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None):
 
     W = tab.W
     X, Y = tab.xy
-    zeta_q = _scalar_at(data.zeta, X, Y)
-    q_q = _scalar_at(data.q, X, Y)
-    f_q = _scalar_at(data.f, X, Y)
-    e_dat = _vector_at(data.e_data, X, Y)
-    s_dat = _vector_at(data.s_data, X, Y)
+    zeta_q = _field_at(data.zeta, X, Y)
+    q_q = _field_at(data.q, X, Y)
+    f_q = _field_at(data.f, X, Y)
+    e_dat = _field_at(data.e_data, X, Y, (2,))
+    s_dat = _field_at(data.s_data, X, Y, (2,))
 
     w_ts = th * kp * (h ** 2)[:, None] * W if th else None
     w_b = bt * (h ** 2)[:, None] * W if bt else None
@@ -585,13 +570,13 @@ def assemble(mesh, formulation, data, params=None, quad_exactness=None):
             load("lam", integrate(w_b * zeta_q * f_q, phi_u))
         load("mu", integrate(w_b * f_q, div_v))
 
-    _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness)
+    _add_neumann_loads(rhs, spaces, offsets, data)
 
     return BlockSystem(matrix=matrix, rhs=rhs, offsets=offsets,
                        n_dofs=n_dofs, spaces=spaces)
 
 
-def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness):
+def _add_neumann_loads(rhs, spaces, offsets, data):
     """Boundary loads from integration by parts of the flux and
     multiplier terms: -(g_mu, du) on the potential equation and
     -(g_s, dlam) on the unnegated multiplier equation, so +(g_s, dlam)
@@ -600,7 +585,7 @@ def _add_neumann_loads(rhs, spaces, offsets, data, quad_exactness):
         return
     mesh = spaces.mesh
     space = spaces.u  # u and lambda share the trace space
-    n1d = max(2, (quad_exactness + 2) // 2)
+    n1d = max(2, (default_quad_exactness(spaces) + 2) // 2)
     ts, ws = gauss_legendre_01(n1d)
     # Quadrature points on the three reference edges, each traversed in
     # its triangle's counter-clockwise local order.
@@ -690,8 +675,7 @@ def apply_dirichlet(system, data):
     idx, val = dirichlet_values(system, data)
     matrix, rhs = _eliminate(system.matrix, system.rhs, idx, val)
     return BlockSystem(matrix=matrix, rhs=rhs, offsets=system.offsets,
-                       n_dofs=system.n_dofs, spaces=system.spaces,
-                       constrained=(idx, val))
+                       n_dofs=system.n_dofs, spaces=system.spaces)
 
 
 def _eliminate(matrix, rhs, idx, val):

@@ -21,21 +21,21 @@ ERROR_COLUMNS = ("u_L2", "u_H1", "lambda_L2", "lambda_H1", "e_L2", "s_L2",
 _FMT = "%.17g"
 
 
-def error_norms(spaces, solution, case, quad_exactness=None):
+def error_norms(spaces, solution, case):
     """Per-field error record of a discrete solution against a case.
 
     ``solution`` maps field names (u, e, s, lam, mu) to coefficient
-    vectors.  Returns a dict with the ERROR_COLUMNS keys.
+    vectors.  The norms are integrated with the rule the system was
+    assembled with, of degree :func:`default_quad_exactness`.  Returns a
+    dict with the ERROR_COLUMNS keys.
     """
-    if quad_exactness is None:
-        quad_exactness = default_quad_exactness(spaces)
     for name in ("u", "e", "s", "lam", "mu"):
         expected = spaces.by_name(name).n_dofs
         if len(solution[name]) != expected:
             raise ValueError(f"field {name!r} has {len(solution[name])} "
                              f"coefficients, space has {expected} dofs")
 
-    tab = Tabulation(spaces.mesh, quadrature(quad_exactness))
+    tab = Tabulation(spaces.mesh, quadrature(default_quad_exactness(spaces)))
     x, y = tab.xy
     out = {}
     for name, col, exact, exact_grad in (

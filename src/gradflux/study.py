@@ -69,10 +69,12 @@ class SolveResult:
     n_solved: int      # unknowns handed to solve_direct
 
 
-def solve_case(mesh, formulation, case, dataset=None, params=None,
-               quad_exactness=None):
+def solve_case(mesh, formulation, case, dataset=None, params=None):
     """Assemble, constrain and solve one problem; returns fields plus
     its error record and second-law audit.
+
+    Assembly and error norms integrate with the formulation's one rule,
+    :func:`gradflux.forms.default_quad_exactness`.
 
     Every solve takes one path: the element-local unknowns of the
     system (e, s and mu when they are DG, as in ``natural``; none for
@@ -89,16 +91,14 @@ def solve_case(mesh, formulation, case, dataset=None, params=None,
     :func:`gradflux.solver.solve_direct` for when it is held.
     """
     data = problem_data_for(case, mesh, dataset)
-    system = assemble(mesh, formulation, data, params=params,
-                      quad_exactness=quad_exactness)
+    system = assemble(mesh, formulation, data, params=params)
     constrained = apply_dirichlet(system, data)
     del system
     matrix, rhs, recover = condense(constrained.matrix, constrained.rhs,
                                     constrained.local_dofs())
     x = recover(solve_direct(matrix, rhs))
     solution = constrained.split(x)
-    errors = error_norms(constrained.spaces, solution, case,
-                         quad_exactness=quad_exactness)
+    errors = error_norms(constrained.spaces, solution, case)
     audit = second_law_audit(constrained.spaces, solution)
     return SolveResult(mesh=mesh, spaces=constrained.spaces,
                        solution=solution, errors=errors, audit=audit,
@@ -122,7 +122,7 @@ def sector_meshes(phi, sizes, grading=1.0):
 
 
 def convergence_study(case, formulation, meshes, dataset=None, params=None,
-                      quad_exactness=None, threads=1):
+                      threads=1):
     """One solve per mesh, folded into a StudyReport.
 
     Returns (report, results).  Meshes must be ordered coarse to fine.
@@ -136,8 +136,7 @@ def convergence_study(case, formulation, meshes, dataset=None, params=None,
     def run(mesh):
         try:
             return solve_case(mesh, formulation, case, dataset=dataset,
-                              params=params,
-                              quad_exactness=quad_exactness)
+                              params=params)
         except Exception as err:
             raise type(err)(
                 f"solve failed on mesh with h = {mesh_size(mesh):.6g} "

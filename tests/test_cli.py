@@ -5,6 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradflux import manufactured
 from gradflux.cli import ConfigError, RunConfig, main
 from gradflux.forms import FORMULATION_KINDS, StabilizationParams
 
@@ -13,28 +14,6 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def test_config_defaults_round_trip():
-    config = RunConfig({})
-    again = RunConfig(config.to_dict())
-    assert again.to_dict() == config.to_dict()
-
-
-def test_config_round_trip_with_options():
-    payload = {
-        "case": {"name": "case2", "phi": 0.7853981633974483},
-        "formulation": "eo_full",
-        "k": 0,
-        "mesh": {"sizes": [4, 8, 16], "grading": 1.0},
-        "kappa": 2.0,
-        "zeta": 0.5,
-        "stabilization": {"alpha": 0.1, "eta": 0.4},
-        "seed": 3,
-    }
-    config = RunConfig(payload)
-    again = RunConfig(config.to_dict())
-    assert again.to_dict() == config.to_dict()
 
 
 def test_config_validation_messages():
@@ -189,22 +168,14 @@ def test_output_that_cannot_be_a_directory_is_a_config_error(tmp_path,
         f"error: --out: cannot create directory {str(taken)!r}")
 
 
-def test_coarse_fd_step_fails_verification(tmp_path):
-    path = write_config(tmp_path, {"fd_step": 1e-2})
-    rc = main(["verify", "--config", path, "--out", str(tmp_path / "o")])
+def test_coarse_fd_step_fails_verification(tmp_path, monkeypatch):
+    # verify's step is fixed; a coarse one must still fail the check
+    strong = manufactured.verify_strong_system
+    monkeypatch.setattr(manufactured, "verify_strong_system",
+                        lambda case, n_samples: strong(case, n_samples,
+                                                       fd_step=1e-2))
+    rc = main(["verify", "--out", str(tmp_path / "o")])
     assert rc == 2
-
-
-@pytest.mark.parametrize("fd_step", [0.0, -1e-5, float("inf"),
-                                     float("nan")])
-def test_fd_step_must_be_positive_and_finite(tmp_path, capsys, fd_step):
-    path = write_config(tmp_path, {"fd_step": fd_step})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["verify", "--config", path, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert "fd_step: must be a positive finite number" in \
-        capsys.readouterr().err
 
 
 def test_nan_grading_is_a_config_error(tmp_path, capsys):
@@ -267,9 +238,10 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, payload,
     ({"case": {"name": "case3", "nd": 0.5}},
      "case.nd: expected an integer, got 0.5"),
     ({"nd_list": [4, 2.5]}, "nd_list: expected an integer, got 2.5"),
-    ({"quad_exactness": 4.5}, "quad_exactness: expected an integer, got 4.5"),
-    ({"seed": 0.5}, "seed: expected an integer, got 0.5"),
-    ({"seed": float("nan")}, "seed: expected an integer, got nan"),
+    ({"case": {"name": "case2", "phi": "1"}},
+     "case.phi: expected a number, got '1'"),
+    ({"mesh": {"grading": True}}, "mesh.grading: expected a number, got True"),
+    ({"zeta": None}, "zeta: expected a number, got None"),
     ({"k": True}, "k: expected a number, got True"),
     ({"kappa": "2"}, "kappa: expected a number, got '2'"),
 ])
@@ -294,15 +266,21 @@ def test_sections_that_are_not_objects_are_config_errors(tmp_path, capsys,
     assert err == f"error: {message}\n"
 
 
+EXPECTED_KEYS = ("unknown key; expected case, formulation, k, mesh, kappa, "
+                 "zeta, stabilization, nd_list or output")
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"formulaton": "eo_full"},
-     "formulaton: unknown key; expected case, formulation, k, mesh, kappa, "
-     "zeta, stabilization, nd_list, quad_exactness, output, seed or "
-     "fd_step"),
+     f"formulaton: {EXPECTED_KEYS}"),
     ({"case": {"name": "case1", "ndd": 3}},
      "case.ndd: unknown key; expected name, phi or nd"),
     ({"mesh": {"sizes": [2], "size": 4}},
      "mesh.size: unknown key; expected sizes or grading"),
+    # keys that verify and the quadrature rule no longer read
+    ({"quad_exactness": 5}, f"quad_exactness: {EXPECTED_KEYS}"),
+    ({"seed": 1}, f"seed: {EXPECTED_KEYS}"),
+    ({"fd_step": 1e-5}, f"fd_step: {EXPECTED_KEYS}"),
 ])
 def test_unknown_keys_exit_1_naming_the_key(tmp_path, capsys, payload,
                                             message):
@@ -326,10 +304,9 @@ def test_threads_below_one_exit_1_naming_the_option(tmp_path, capsys,
 
 
 def test_integral_floats_are_accepted():
-    config = RunConfig({"k": 2.0, "mesh": {"sizes": [4.0]}, "seed": 3.0,
-                        "quad_exactness": 5.0, "nd_list": [2.0]})
-    assert (config.k, config.sizes, config.seed) == (2, [4], 3)
-    assert (config.quad_exactness, config.nd_list) == (5, [2])
+    config = RunConfig({"k": 2.0, "mesh": {"sizes": [4.0]},
+                        "nd_list": [2.0]})
+    assert (config.k, config.sizes, config.nd_list) == (2, [4], [2])
     assert isinstance(config.k, int)
 
 
@@ -358,7 +335,9 @@ def section(required=(), **optional):
 SHAPED = section(
     case=st.sampled_from(CASES)
     | section([("name", st.sampled_from(CASES))],
-              phi=st.floats(0.1, 3.0), nd=st.integers(1, 70)),
+              phi=st.floats(0.1, 3.0), nd=st.integers(1, 70))
+    | section([("name", st.just("case2"))], phi=st.floats(0.1, 3.0))
+    | section([("name", st.just("case3"))], nd=st.integers(1, 70)),
     formulation=st.sampled_from(FORMULATION_KINDS),
     k=st.integers(0, 2),
     mesh=section(sizes=st.lists(st.integers(1, 40), max_size=4),
@@ -368,20 +347,20 @@ SHAPED = section(
     stabilization=st.dictionaries(st.sampled_from(COEFFICIENTS),
                                   st.floats(0.0, 0.2), max_size=3),
     nd_list=st.lists(st.integers(1, 70), max_size=3),
-    quad_exactness=st.integers(1, 10),
     output=st.text(min_size=1, max_size=8),
-    seed=st.integers(0, 2 ** 70),
-    fd_step=st.floats(1e-7, 1e-2),
 )
 KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
-        "stabilization", "nd_list", "quad_exactness", "output", "seed",
-        "fd_step")
+        "stabilization", "nd_list", "output")
 SECTIONS = {"case": ("name", "phi", "nd"), "mesh": ("sizes", "grading"),
             "stabilization": COEFFICIENTS}
 SUBKEYS = {**SECTIONS, "stabilization": COEFFICIENTS + ("ell_s",)}
-# misspelt keys, and anything else that is no key of its section
-UNKNOWN_KEYS = (st.sampled_from(("formulaton", "ndd", "size", "Kappa"))
+# misspelt keys, removed keys, and anything else that is no key of its
+# section
+UNKNOWN_KEYS = (st.sampled_from(("formulaton", "ndd", "size", "Kappa",
+                                 "quad_exactness", "seed", "fd_step"))
                 | st.text(max_size=4))
+# the case a case-section key belongs to
+OWNERS = {"phi": "case2", "nd": "case3"}
 
 
 @st.composite
@@ -389,8 +368,14 @@ def configs(draw):
     """A shaped config with at most one entry, a key, a section's key or
     a list item, replaced by an arbitrary JSON value, and at most one
     key drawn into the top level, ``case`` or ``mesh``, which may be
-    unknown there."""
+    unknown there.  Half of the configs also get ``phi`` or ``nd`` in
+    their case section, which may belong to another case."""
     raw = draw(SHAPED)
+    if draw(st.booleans()):
+        case = raw.setdefault("case", {"name": draw(st.sampled_from(CASES))})
+        if isinstance(case, dict):
+            case[draw(st.sampled_from(sorted(OWNERS)))] = draw(
+                st.floats(0.1, 3.0) | st.integers(1, 70))
     sections = [None, raw] + [raw[name] for name in ("case", "mesh")
                               if isinstance(raw.get(name), dict)]
     target = draw(st.sampled_from(sections))
@@ -422,7 +407,8 @@ def assert_documented_fields(config):
     assert type(config.phi) is float
     if config.case_name == "case2":
         assert 0.0 < config.phi < math.pi
-    assert config.nd is None or (exact_int(config.nd) and config.nd >= 1)
+    assert config.nd is None or (exact_int(config.nd) and config.nd >= 1
+                                 and config.case_name == "case3")
     assert config.kind in FORMULATION_KINDS
     assert exact_int(config.k) and config.k in (0, 1, 2)
     assert config.k == 0 or config.case_name == "case1"
@@ -439,12 +425,7 @@ def assert_documented_fields(config):
         assert st_.alpha <= 0.25 and st_.gamma < 1.0 and st_.eta < 1.0
     assert isinstance(config.nd_list, list)
     assert all(exact_int(nd) and nd >= 1 for nd in config.nd_list)
-    assert config.quad_exactness is None or (
-        exact_int(config.quad_exactness)
-        and 1 <= config.quad_exactness <= 10)
     assert type(config.output) is str and config.output
-    assert exact_int(config.seed) and config.seed >= 0
-    assert finite_float(config.fd_step) and config.fd_step > 0.0
 
 
 def unknown_keys(raw):
@@ -457,6 +438,16 @@ def unknown_keys(raw):
         if isinstance(raw.get(name), dict):
             names += [f"{name}.{key}" for key in raw[name] if key not in keys]
     return names
+
+
+def misplaced_keys(raw):
+    """Names of the ``case`` keys that belong to another case than the
+    one the section names."""
+    case = raw.get("case") if isinstance(raw, dict) else None
+    if not isinstance(case, dict):
+        return []
+    return [f"case.{key}" for key, owner in OWNERS.items()
+            if key in case and case.get("name") != owner]
 
 
 def known_only(raw):
@@ -473,6 +464,7 @@ def known_only(raw):
 @given(st.one_of(configs(), configs(), JSON_VALUES))
 def test_any_json_config_is_valid_or_a_config_error(raw):
     unknown = unknown_keys(raw)
+    misplaced = misplaced_keys(raw)
     try:
         config = RunConfig(raw)
     except ConfigError as err:
@@ -483,7 +475,15 @@ def test_any_json_config_is_valid_or_a_config_error(raw):
                 return
             # the unknown key is the config's only fault: it is named
             assert str(err).startswith(f"{unknown[0]}: unknown key")
+        elif misplaced and raw["case"].get("name") in CASES:
+            try:
+                RunConfig({**raw, "case": {
+                    key: value for key, value in raw["case"].items()
+                    if f"case.{key}" not in misplaced}})
+            except ConfigError:
+                return
+            # a key of another case is the config's only fault: it is named
+            assert str(err).startswith(f"{misplaced[0]}: ")
         return
-    assert not unknown
+    assert not unknown and not misplaced
     assert_documented_fields(config)
-    assert RunConfig(config.to_dict()).to_dict() == config.to_dict()

@@ -279,10 +279,9 @@ def test_assembly_is_gradient_of_functional(kind):
     form = Formulation(kind, 0)
     data = problem_data_for(case, mesh)
     data.kappa, data.zeta = 1.3, 0.7
-    qe = 5
-    system = assemble(mesh, form, data, quad_exactness=qe)
+    system = assemble(mesh, form, data)
     params = form.params()
-    rule = quadrature(qe)
+    rule = quadrature(forms.default_quad_exactness(system.spaces))
 
     rng = np.random.default_rng(42)
     z = rng.standard_normal(system.n_dofs)
@@ -322,13 +321,14 @@ def test_neumann_loads_match_edge_reference(make_mesh, neumann_tags):
                          neumann={t: (g_s, g_mu) for t in neumann_tags})
     bare = ProblemData(dirichlet=dirichlet,
                        neumann={t: (nothing, nothing) for t in neumann_tags})
-    form, qe = Formulation("eo_full", 1), 5
-    system = assemble(mesh, form, loaded, quad_exactness=qe)
-    load = system.rhs - assemble(mesh, form, bare, quad_exactness=qe).rhs
+    form = Formulation("eo_full", 1)
+    system = assemble(mesh, form, loaded)
+    load = system.rhs - assemble(mesh, form, bare).rhs
 
     # the boundary term of the functional is linear: its gradient holds
     # its values at the unit vectors
-    params, rule = form.params(), quadrature(qe)
+    params = form.params()
+    rule = quadrature(forms.default_quad_exactness(system.spaces))
     grad = np.zeros(system.n_dofs)
     signs = np.ones(system.n_dofs)
     signs[system.field_slice("lam")] = -1.0
@@ -573,11 +573,11 @@ class EinsumReference:
         al, ga, et = params.alpha, params.gamma, params.eta
         th, bt = params.theta, params.beta
         h = mesh.diameters
-        zeta_q = forms._scalar_at(data.zeta, X, Y)
-        q_q = forms._scalar_at(data.q, X, Y)
-        f_q = forms._scalar_at(data.f, X, Y)
-        e_dat = forms._vector_at(data.e_data, X, Y)
-        s_dat = forms._vector_at(data.s_data, X, Y)
+        zeta_q = forms._field_at(data.zeta, X, Y)
+        q_q = forms._field_at(data.q, X, Y)
+        f_q = forms._field_at(data.f, X, Y)
+        e_dat = forms._field_at(data.e_data, X, Y, (2,))
+        s_dat = forms._field_at(data.s_data, X, Y, (2,))
         w_ts = th * kp * (h ** 2)[:, None] * W if th else None
         w_b = bt * (h ** 2)[:, None] * W if bt else None
         phi_u, grad_u = ref.phi(spaces.u), ref.grad(spaces.u)
@@ -939,7 +939,7 @@ def test_homogeneous_dirichlet_rows_are_identity():
                        dirichlet={t: (zero, zero) for t in SQUARE_TAGS})
     system = apply_dirichlet(assemble(mesh, Formulation("eo_min", 0),
                                       data), data)
-    dofs, values = system.constrained
+    dofs, values = dirichlet_values(system, data)
     assert len(dofs)
     mat = system.matrix.tocsr()
     for dof, value in zip(dofs, values):
