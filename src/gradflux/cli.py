@@ -298,7 +298,7 @@ def cmd_data_study(config, out_dir, threads=1):
     return 0
 
 
-def cmd_verify(config, out_dir, threads=1):
+def cmd_verify(config):
     """Self-checks: manufactured solutions against the FD oracle,
     quadrature exactness, basis gradients, patch test, block structure,
     coercivity sampling."""
@@ -481,9 +481,11 @@ def main(argv=None):
             config = load_config(args.config)
         else:
             config = RunConfig({})
+        if args.command == "verify":             # writes no file
+            return cmd_verify(config)
         out_dir = _outdir(config, args.out)
         handler = {"solve": cmd_solve, "convergence": cmd_convergence,
-                   "data-study": cmd_data_study, "verify": cmd_verify}
+                   "data-study": cmd_data_study}
         return handler[args.command](config, out_dir, threads=args.threads)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

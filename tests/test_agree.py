@@ -1,0 +1,71 @@
+import importlib.util
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "agree.py"
+spec = importlib.util.spec_from_file_location("agree", TOOL)
+agree = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(agree)
+
+SOLUTION = "square-case1/eo_full/k1/solution"
+
+
+@pytest.fixture(scope="module")
+def dumped(tmp_path_factory):
+    path = tmp_path_factory.mktemp("agree") / "tree.npz"
+    assert agree.dump(str(path)) == 0
+    with np.load(path) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    return path, arrays
+
+
+def compare_with(dumped, tmp_path, arrays):
+    path = tmp_path / "change.npz"
+    np.savez(path, **arrays)
+    out = io.StringIO()
+    rc = agree.compare(str(dumped[0]), str(path), out=out)
+    return rc, out.getvalue().splitlines()
+
+
+def test_a_dump_agrees_with_itself_bitwise(dumped):
+    _, arrays = dumped
+    # 3 problems x 4 formulations x 3 orders, 16 arrays each
+    assert len(arrays) == 3 * 4 * 3 * 16
+    out = io.StringIO()
+    assert agree.compare(str(dumped[0]), str(dumped[0]), out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 4 * 16 + 1
+    assert all(line.endswith("bitwise") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("rel, rc", [(1e-12, 0), (1e-6, 1)])
+def test_a_doctored_solution_is_measured(dumped, tmp_path, rel, rc):
+    arrays = dict(dumped[1])
+    doctored = arrays[SOLUTION].copy()
+    doctored[7] += rel * np.abs(doctored).max()
+    arrays[SOLUTION] = doctored
+    got, lines = compare_with(dumped, tmp_path, arrays)
+    assert got == rc
+    line = next(line for line in lines if " solution " in line
+                and " eo_full " in line)
+    assert line.startswith("FAIL" if rc else "ok")
+    assert line.endswith("at square-case1 k1")
+    assert float(line.split()[3]) == pytest.approx(rel, rel=1e-3)
+    assert sum(not line.endswith("bitwise") for line in lines) == 2
+
+
+def test_a_changed_index_array_or_a_missing_cell_fails(dumped, tmp_path):
+    arrays = dict(dumped[1])
+    indices = arrays["sector-case2/natural/k0/schur.indices"].copy()
+    indices[[0, 1]] = indices[[1, 0]]
+    arrays["sector-case2/natural/k0/schur.indices"] = indices
+    del arrays["square-case3-nd4/eo_min/k2/errors"]
+    rc, lines = compare_with(dumped, tmp_path, arrays)
+    assert rc == 1
+    assert "FAIL square-case3-nd4/eo_min/k2/errors: missing from the " \
+        "change" in lines
+    assert any(line.startswith("FAIL natural") and "schur.indices" in line
+               and line.endswith("inf at sector-case2 k0") for line in lines)

@@ -178,6 +178,13 @@ def test_coarse_fd_step_fails_verification(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_verify_makes_no_output_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify"]) == 0
+    assert main(["verify", "--out", "elsewhere"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nan_grading_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, {"case": {"name": "case2"},
                                    "mesh": {"sizes": [2],

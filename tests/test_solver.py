@@ -34,8 +34,8 @@ def factorizations(monkeypatch):
     built = []
     fresh = solver._factorize
 
-    def counting(mat):
-        lu = fresh(mat)
+    def counting(mat, *threshold):
+        lu = fresh(mat, *threshold)
         built.append(lu.nnz)
         return lu
 
@@ -160,7 +160,7 @@ def test_hit_returns_the_fresh_solution_bitwise(slot, factorizations):
     assert slot["lu"] is not None and len(factorizations) == 2
     x_hit = solve_direct(system.matrix, rhs)
     assert len(factorizations) == 2
-    lu = spla.splu(system.matrix.tocsc())
+    lu = solver._factorize(system.matrix)
     x_fresh = solver._refined_solve(lu, system.matrix, rhs)
     assert np.array_equal(x_hit, x_fresh)
 
@@ -299,6 +299,52 @@ def test_corrupted_factor_is_refactorized(slot, factorizations,
     assert len(factorizations) == 3
 
 
+def growth_matrix(n, d):
+    """Lower bidiagonal (d on the diagonal, -1 below it) with a last
+    column of ones.  At a pivot threshold of 0.01 every diagonal entry
+    d >= 0.01 stays the pivot and the last column grows by 1/d a step,
+    as in Wilkinson's example; full partial pivoting swaps each step
+    and the factor stays of size 1."""
+    mat = sp.diags([np.full(n, d), np.full(n - 1, -1.0)], [0, -1],
+                   format="lil")
+    mat[:, n - 1] = 1.0
+    return mat.tocsr()
+
+
+def test_factor_missing_the_contract_is_remade_with_full_pivoting(
+        slot, monkeypatch):
+    mat = growth_matrix(30, 0.02)
+    rhs = np.random.default_rng(26).standard_normal(30)
+    with pytest.raises(SolverError):
+        solver._refined_solve(solver._factorize(mat), mat, rhs)
+    thresholds = []
+    fresh = solver._factorize
+
+    def recording(mat, threshold=solver.PIVOT_THRESHOLD):
+        thresholds.append(threshold)
+        return fresh(mat, threshold)
+
+    monkeypatch.setattr(solver, "_factorize", recording)
+    x = solve_direct(mat, rhs)
+    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0]
+    solve_direct(mat, rhs)                       # comes back: held
+    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2
+    # a held factor that misses the contract is remade at full pivoting
+    monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
+    x = solve_direct(mat, rhs)
+    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2 + [1.0]
+    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    solve_direct(mat, rhs)
+    assert len(thresholds) == 5
+
+
+def test_pivot_threshold_keeps_the_fill_below_full_pivoting():
+    system = constrained_system(case1(), "eo_full", 1, 8)
+    full_pivoting = spla.splu(system.matrix.tocsc())
+    assert solver._factorize(system.matrix).nnz < full_pivoting.nnz
+
+
 def test_singular_matrix_is_never_cached(slot):
     mat = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     for _ in range(3):
@@ -311,7 +357,7 @@ def test_concurrent_solves_keep_the_books(slot):
     matrices = [dominant_matrix(n, 30 + n) for n in (50, 90, 130, 170)]
     rhs = [np.random.default_rng(n).standard_normal(n)
            for n in (50, 90, 130, 170)]
-    factors = [spla.splu(m.tocsc()) for m in matrices]
+    factors = [solver._factorize(m) for m in matrices]
     expected = [solver._refined_solve(lu, m, b)
                 for lu, m, b in zip(factors, matrices, rhs)]
     largest = max(lu.nnz for lu in factors)

@@ -1,0 +1,155 @@
+"""Agreement of two source trees on a fixed grid of small problems.
+
+    PYTHONPATH=<tree>/src python tools/agree.py dump <tree>.npz
+    python tools/agree.py compare parent.npz change.npz
+
+``dump`` runs the gradflux found on the import path over the four
+formulations at k = 0, 1, 2 on three problems: ``unit_square_mesh(4)``
+with case 1, the same mesh with case 3 and data sampled at nd = 4, and
+``sector_mesh(pi/2, 3, grading=2)`` with case 2.  Each cell stores the
+assembled and the Dirichlet-eliminated matrix (CSR arrays) and load,
+the system handed to ``solve_direct`` after static condensation, the
+solution ``solve_case`` returns (all fields, concatenated), its error
+row (``ERROR_COLUMNS`` order) and its second-law audit: the violation
+count and all the s . e values it counts.  The audit's worst value is
+the largest of these; it is compared within them, so that a worst value
+at roundoff level is measured against the largest |s . e|.
+
+``compare`` prints, for each formulation and quantity, "bitwise" or the
+largest relative difference over the problems and orders (max |a - b|
+over max |a|, and the cell where it occurs), and exits 1 when a
+difference exceeds RTOL, an index array or a shape differs, or a cell is
+missing on one side.
+"""
+
+import argparse
+import sys
+
+import numpy as np
+
+# gradflux is imported inside the functions that run it, from whichever
+# tree is on the import path; `compare` needs numpy alone.
+RTOL = 1e-9
+KINDS = ("natural", "eo_unstab", "eo_min", "eo_full")
+ORDERS = (0, 1, 2)
+
+
+def problems():
+    """(label, mesh, case, dataset) of the three problems."""
+    from gradflux import (build_dataset, case1, case2, case3, sector_mesh,
+                          unit_square_mesh)
+
+    square = unit_square_mesh(4)
+    sampled = case3()
+    return [
+        ("square-case1", square, case1(), None),
+        ("square-case3-nd4", square, sampled,
+         build_dataset(4, sampled.e, sampled.s)),
+        ("sector-case2", sector_mesh(np.pi / 2, 3, grading=2.0),
+         case2(np.pi / 2), None),
+    ]
+
+
+def _csr(prefix, matrix, rhs):
+    return {f"{prefix}.indptr": matrix.indptr,
+            f"{prefix}.indices": matrix.indices,
+            f"{prefix}.data": matrix.data,
+            f"{prefix}.load": np.asarray(rhs, dtype=float)}
+
+
+def cell(mesh, kind, k, case, dataset):
+    """Every stored quantity of one formulation and order on one problem."""
+    from gradflux import Formulation, apply_dirichlet, assemble
+    from gradflux.postproc import ERROR_COLUMNS, second_law_values
+    from gradflux.solver import condense
+    from gradflux.study import problem_data_for, solve_case
+
+    data = problem_data_for(case, mesh, dataset)
+    system = assemble(mesh, Formulation(kind, k), data)
+    constrained = apply_dirichlet(system, data)
+    schur, load, _ = condense(constrained.matrix, constrained.rhs,
+                              constrained.local_dofs())
+    res = solve_case(mesh, Formulation(kind, k), case, dataset=dataset)
+    out = {}
+    out.update(_csr("assembled", system.matrix, system.rhs))
+    out.update(_csr("eliminated", constrained.matrix, constrained.rhs))
+    out.update(_csr("schur", schur.tocsr(), load))
+    out["solution"] = np.concatenate(list(res.solution.values()))
+    out["errors"] = np.array([res.errors[c] for c in ERROR_COLUMNS],
+                             dtype=float)
+    out["audit.count"] = np.array([res.audit[0]])
+    out["audit.values"] = second_law_values(res.spaces, res.solution)[1]
+    return out
+
+
+def dump(path):
+    import gradflux
+
+    arrays = {}
+    for label, mesh, case, dataset in problems():
+        for kind in KINDS:
+            for k in ORDERS:
+                for name, arr in cell(mesh, kind, k, case, dataset).items():
+                    arrays[f"{label}/{kind}/k{k}/{name}"] = arr
+    np.savez(path, **arrays)
+    print(f"{len(arrays)} arrays from {gradflux.__file__} -> {path}")
+    return 0
+
+
+def difference(a, b):
+    """0.0 for bitwise equal arrays, else the relative difference; inf
+    when the two cannot be compared entry by entry."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return np.inf
+    if a.tobytes() == b.tobytes():
+        return 0.0
+    if a.dtype.kind != "f" or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return np.inf
+    ok = ~np.isnan(a)
+    scale = max(float(np.max(np.abs(a[ok]), initial=0.0)),
+                np.finfo(float).tiny)
+    return float(np.max(np.abs(a[ok] - b[ok]))) / scale
+
+
+def compare(parent_path, change_path, out=sys.stdout):
+    with np.load(parent_path) as pa, np.load(change_path) as ch:
+        parent = {key: pa[key] for key in pa.files}
+        change = {key: ch[key] for key in ch.files}
+    failed = False
+    for key in sorted(parent.keys() ^ change.keys()):
+        side = "change" if key in parent else "parent"
+        print(f"FAIL {key}: missing from the {side}", file=out)
+        failed = True
+
+    worst = {}                 # (kind, quantity) -> (difference, cell)
+    for key in sorted(parent.keys() & change.keys()):
+        label, kind, order, quantity = key.split("/")
+        diff = difference(parent[key], change[key])
+        if (kind, quantity) not in worst or diff > worst[kind, quantity][0]:
+            worst[kind, quantity] = (diff, f"{label} {order}")
+    for (kind, quantity), (diff, where) in sorted(worst.items()):
+        verdict = "bitwise" if diff == 0.0 else f"{diff:.2e} at {where}"
+        bad = not diff <= RTOL
+        failed |= bad
+        print(f"{'FAIL' if bad else 'ok  '} {kind:10s} {quantity:18s} "
+              f"{verdict}", file=out)
+    print(f"{'FAILED' if failed else 'agree'}: tolerance {RTOL:.0e} "
+          f"relative", file=out)
+    return 1 if failed else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("dump").add_argument("path")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("parent")
+    cmp.add_argument("change")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.path)
+    return compare(args.parent, args.change)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
