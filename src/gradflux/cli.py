@@ -7,6 +7,7 @@ failure (solver breakdown or a failing verification check).
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -15,12 +16,13 @@ import numpy as np
 
 from . import manufactured
 from .data_assign import build_dataset, write_dataset_csv
+from .elements import lagrange_eval, lagrange_grad, quadrature
 from .forms import (FORMULATION_KINDS, Formulation, ProblemData,
                     StabilizationParams, assemble, dirichlet_values,
                     stability_norm_matrix)
 from .mesh import mesh_size, unit_square_mesh
-from .postproc import (plot_loglog, write_nodal_error_csv,
-                        write_report, nodal_error_field)
+from .postproc import (StudyReport, nodal_error_field, plot_loglog,
+                       write_nodal_error_csv, write_report)
 from .solver import SolverError
 from .study import (convergence_study, problem_data_for, sector_meshes,
                     solve_case, square_meshes)
@@ -89,7 +91,8 @@ class RunConfig:
                      | {"name": "case3", "nd": <int or null>}
         formulation: "natural" | "eo_unstab" | "eo_min" | "eo_full"
         k:           0 | 1 | 2
-        mesh:        {"sizes": [..] (non-empty), "grading": <real>=1>}
+        mesh:        {"sizes": [..] (non-empty, strictly increasing),
+                      "grading": <real>=1>}
         kappa:       positive real (default 1)
         zeta:        real >= 0 (default 1)
         stabilization: optional, any of alpha, gamma, eta, theta, beta
@@ -146,6 +149,9 @@ class RunConfig:
             raise ConfigError("mesh.sizes: expected at least one size")
         if any(n < 1 for n in self.sizes):
             raise ConfigError("mesh.sizes: entries must be >= 1")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ConfigError(f"mesh.sizes: must be strictly increasing "
+                              f"(coarse to fine), got {self.sizes}")
         self.grading = _number("mesh.grading", mesh.get("grading", 2.0))
         if not self.grading >= 1.0:
             raise ConfigError(f"mesh.grading: must be >= 1, "
@@ -197,6 +203,12 @@ class RunConfig:
     def formulation(self):
         return Formulation(self.kind, self.k)
 
+    def build_dataset(self, case):
+        """The sampled data set of a case3 run with ``nd``, else None."""
+        if self.case_name == "case3" and self.nd:
+            return build_dataset(self.nd, case.e, case.s)
+        return None
+
 
 def load_config(path):
     try:
@@ -225,9 +237,7 @@ def _outdir(config, override):
 def cmd_solve(config, out_dir, threads=1):
     case = config.build_case()
     mesh = config.build_meshes()[0]
-    dataset = None
-    if config.case_name == "case3" and config.nd:
-        dataset = build_dataset(config.nd, case.e, case.s)
+    dataset = config.build_dataset(case)
     res = solve_case(mesh, config.formulation(), case, dataset=dataset,
                      params=config.stabilization)
 
@@ -236,7 +246,6 @@ def cmd_solve(config, out_dir, threads=1):
             fh.write("dof,value\n")
             for i, v in enumerate(coeffs):
                 fh.write(f"{i},{float(v)!r}\n")
-    from .postproc import StudyReport
     report = StudyReport(case=case.name, formulation=config.kind)
     report.add_row(res.h, res.n_dofs, res.errors)
     write_report(report, os.path.join(out_dir, "report.csv"))
@@ -258,9 +267,7 @@ def cmd_convergence(config, out_dir, threads=1):
         raise ConfigError("mesh.sizes: convergence sweeps need >= 3 meshes")
     case = config.build_case()
     meshes = config.build_meshes()
-    dataset = None
-    if config.case_name == "case3" and config.nd:
-        dataset = build_dataset(config.nd, case.e, case.s)
+    dataset = config.build_dataset(case)
     report, results = convergence_study(
         case, config.formulation(), meshes, dataset=dataset,
         params=config.stabilization, threads=threads)
@@ -322,9 +329,6 @@ def cmd_verify(config):
         check(f"strong optimality system: {case.name}", worst <= 1e-6,
               f"max residual {worst:.2e}")
 
-    from .elements import lagrange_eval, lagrange_grad, quadrature
-    import math
-    ok = True
     worst = 0.0
     for d in range(1, 11):
         rule = quadrature(d)

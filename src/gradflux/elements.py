@@ -83,23 +83,15 @@ def _check_degree(degree):
 def lagrange_eval(degree, point):
     """Nodal basis values at reference point(s); shape (..., n_basis)."""
     _check_degree(degree)
-    return _tab_values(degree, point)
-
-
-def lagrange_grad(degree, point):
-    """Reference-coordinate basis gradients; shape (..., n_basis, 2)."""
-    _check_degree(degree)
-    return _tab_gradients(degree, point)
-
-
-def _tab_values(degree, point):
     pts, single = _as_points(point)
     vals = _eval_monomials(pts, _monomial_powers(degree)) \
         @ _basis_coefficients(degree)
     return vals[0] if single else vals
 
 
-def _tab_gradients(degree, point):
+def lagrange_grad(degree, point):
+    """Reference-coordinate basis gradients; shape (..., n_basis, 2)."""
+    _check_degree(degree)
     pts, single = _as_points(point)
     grads = np.einsum("pmd,mb->pbd",
                       _grad_monomials(pts, _monomial_powers(degree)),
@@ -259,7 +251,8 @@ class FeSpace:
         pts = np.asarray(ref_points, dtype=float).reshape(-1, 2)
         if self.degree == 0:
             return np.ones((len(pts), 1)), np.zeros((len(pts), 1, 2))
-        return _tab_values(self.degree, pts), _tab_gradients(self.degree, pts)
+        return (lagrange_eval(self.degree, pts),
+                lagrange_grad(self.degree, pts))
 
 
 def edge_local_nodes(degree):

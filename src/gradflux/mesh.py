@@ -25,7 +25,8 @@ _GEOM_TOL = 1e-12
 
 
 class MeshFormatError(ValueError):
-    """Raised when a mesh file or mesh data fails validation."""
+    """Raised when mesh data fails validation; the message names the
+    offending vertex, triangle, boundary edge or tag."""
 
 
 class Mesh:
@@ -48,11 +49,11 @@ class Mesh:
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges,
-                                                   dtype=np.int64)
-        if self.boundary_edges.size == 0:
-            self.boundary_edges = self.boundary_edges.reshape(0, 2)
+        edges = np.asarray(boundary_edges)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        self.triangles = _index_array(triangles, 3, "triangle")
+        self.boundary_edges = _index_array(edges, 2, "boundary edge")
         self.boundary_tags = tuple(boundary_tags)
         self._cache = {}
         self._validate()
@@ -63,33 +64,32 @@ class Mesh:
     # validation
 
     def _validate(self):
-        nv = len(self.vertices)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise MeshFormatError("vertex array must have shape (nv, 2)")
+            raise MeshFormatError(f"vertex array must have shape (nv, 2), "
+                                  f"got {self.vertices.shape}")
+        nv = len(self.vertices)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if bad.size:
             raise MeshFormatError(
                 f"vertex {bad[0]} has a non-finite coordinate "
                 f"{self.vertices[bad[0]].tolist()}")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshFormatError("triangle array must have shape (nt, 3)")
         if len(self.boundary_tags) != len(self.boundary_edges):
-            raise MeshFormatError("one tag required per boundary edge")
+            raise MeshFormatError(
+                f"{len(self.boundary_tags)} boundary tags for "
+                f"{len(self.boundary_edges)} boundary edges; one tag "
+                "required per boundary edge")
         unknown = np.flatnonzero(~np.isin(
             np.asarray(self.boundary_tags, dtype=str), BOUNDARY_TAGS))
         if unknown.size:
-            raise MeshFormatError(f"unknown boundary tag "
-                                  f"{self.boundary_tags[unknown[0]]!r}")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= nv):
-            bad = np.argwhere((self.triangles < 0)
-                              | (self.triangles >= nv))[0, 0]
-            raise MeshFormatError(
-                f"triangle {bad} references a vertex out of range")
-        if self.boundary_edges.size and (self.boundary_edges.min() < 0
-                                         or self.boundary_edges.max() >= nv):
-            raise MeshFormatError("boundary edge references a vertex "
-                                  "out of range")
+            raise MeshFormatError(f"boundary edge {unknown[0]} has unknown "
+                                  f"tag {self.boundary_tags[unknown[0]]!r}")
+        for item, arr in (("triangle", self.triangles),
+                          ("boundary edge", self.boundary_edges)):
+            bad = np.flatnonzero(((arr < 0) | (arr >= nv)).any(axis=1))
+            if bad.size:
+                raise MeshFormatError(
+                    f"{item} {bad[0]} = {arr[bad[0]].tolist()} references "
+                    f"a vertex out of range (mesh has {nv} vertices)")
 
         v = self.vertices
         t = self.triangles
@@ -245,6 +245,23 @@ class Mesh:
             owners.flags.writeable = False
             self._cache["boundary_elems"] = owners
         return owners
+
+
+def _index_array(values, width, item):
+    """``values`` as a contiguous (n, width) int64 array of vertex
+    indices.  A wrong shape, or a float index that is not whole, raises
+    MeshFormatError naming the first offending ``item``."""
+    raw = np.asarray(values)
+    if raw.ndim != 2 or raw.shape[1] != width:
+        raise MeshFormatError(f"{item} array must have shape (n, {width}), "
+                              f"got {raw.shape}")
+    if raw.dtype.kind == "f":
+        whole = np.isfinite(raw) & (raw == np.round(raw))
+        bad = np.flatnonzero(~whole.all(axis=1))
+        if bad.size:
+            raise MeshFormatError(f"{item} {bad[0]} = {raw[bad[0]].tolist()} "
+                                  "has a vertex index that is not an integer")
+    return np.ascontiguousarray(raw, dtype=np.int64)
 
 
 def _edge_keys(pairs, n_vertices):
@@ -447,100 +464,3 @@ def mesh_size(mesh):
     if mesh.n_triangles == 0:
         raise ValueError("mesh has no triangles")
     return float(mesh.diameters.max())
-
-
-# ----------------------------------------------------------------------
-# plain-text I/O
-#
-# line 1: nv nt nb, then nv lines "x y", nt lines "i j k" (0-based, CCW),
-# nb lines "i j tag".  '#' starts a comment; blank lines are skipped.
-
-
-def write_mesh(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles} "
-                 f"{len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{i} {j} {tag}\n")
-
-
-def read_mesh(path):
-    """Parse and validate the plain-text mesh format."""
-    tokens = []  # (line_number, fields)
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                tokens.append((ln, line.split()))
-
-    if not tokens:
-        raise MeshFormatError(f"{path}: empty mesh file")
-
-    def fail(ln, msg):
-        raise MeshFormatError(f"{path}: line {ln}: {msg}")
-
-    ln, header = tokens[0]
-    if len(header) != 3:
-        fail(ln, "expected header 'nv nt nb'")
-    try:
-        nv, nt, nb = (int(tok) for tok in header)
-    except ValueError:
-        fail(ln, "header counts must be integers")
-    if len(tokens) != 1 + nv + nt + nb:
-        raise MeshFormatError(
-            f"{path}: expected {1 + nv + nt + nb} data lines, "
-            f"found {len(tokens)}")
-
-    vertices = np.empty((nv, 2))
-    for r in range(nv):
-        ln, fields = tokens[1 + r]
-        if len(fields) != 2:
-            fail(ln, "expected 'x y'")
-        try:
-            vertices[r] = [float(fields[0]), float(fields[1])]
-        except ValueError:
-            fail(ln, "vertex coordinates must be numbers")
-        if not np.isfinite(vertices[r]).all():
-            fail(ln, f"vertex {r} has a non-finite coordinate")
-
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for r in range(nt):
-        ln, fields = tokens[1 + nv + r]
-        if len(fields) != 3:
-            fail(ln, "expected 'i j k'")
-        try:
-            triangles[r] = [int(f) for f in fields]
-        except ValueError:
-            fail(ln, "triangle indices must be integers")
-        if triangles[r].min() < 0 or triangles[r].max() >= nv:
-            fail(ln, f"triangle {r} vertex index out of range")
-
-    edges = np.empty((nb, 2), dtype=np.int64)
-    tags = []
-    for r in range(nb):
-        ln, fields = tokens[1 + nv + nt + r]
-        if len(fields) != 3:
-            fail(ln, "expected 'i j tag'")
-        try:
-            edges[r] = [int(fields[0]), int(fields[1])]
-        except ValueError:
-            fail(ln, "edge indices must be integers")
-        if fields[2] not in BOUNDARY_TAGS:
-            fail(ln, f"unknown boundary tag {fields[2]!r}")
-        tags.append(fields[2])
-
-    if nt:
-        signed = _signed_areas(vertices, triangles)
-        if np.any(signed <= 0):
-            bad = int(np.argmin(signed))
-            fail(tokens[1 + nv + bad][0],
-                 f"triangle {bad} is not counter-clockwise")
-
-    try:
-        return Mesh(vertices, triangles, edges.reshape(nb, 2), tags)
-    except MeshFormatError as err:
-        raise MeshFormatError(f"{path}: {err}") from None

@@ -19,6 +19,7 @@ ERROR_COLUMNS = ("u_L2", "u_H1", "lambda_L2", "lambda_H1", "e_L2", "s_L2",
                  "mu_L2", "s_Hdiv", "e_Hdiv", "mu_Hdiv")
 
 _FMT = "%.17g"
+AUDIT_TOL = 1e-10      # s . e above this counts as a second-law violation
 
 
 def error_norms(spaces, solution, case):
@@ -114,19 +115,17 @@ def second_law_values(spaces, solution):
     return space.node_coords, dots
 
 
-def second_law_audit(spaces, solution, tol=1e-10):
-    """Count nodes where the discrete flux opposes its gradient.
+def second_law_audit(spaces, solution):
+    """Count nodes where the discrete flux does not oppose its gradient.
 
     Evaluates s_h . e_h at the nodes of the gradient space (distinct
     global nodes for continuous spaces, per-element node locations for
-    discontinuous ones) and reports (number of values above tol,
-    largest value).
+    discontinuous ones) and reports (number of values above
+    AUDIT_TOL, largest value).
     """
-    if tol < 0.0:
-        raise ValueError("tolerance must be >= 0")
     _, dots = second_law_values(spaces, solution)
     worst = float(dots.max()) if dots.size else 0.0
-    return int(np.count_nonzero(dots > tol)), worst
+    return int(np.count_nonzero(dots > AUDIT_TOL)), worst
 
 
 def nodal_error_field(space, coeffs, exact_u):
@@ -212,30 +211,6 @@ def _cell(value):
     return str(value) if isinstance(value, int) else _FMT % value
 
 
-def read_report(path):
-    """Parse a report CSV back (inverse of write_report)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
-    if lines and lines[0].startswith("#"):
-        for part in lines[0][1:].split():
-            key, _, val = part.partition("=")
-            meta[key] = val
-        lines = lines[1:]
-    header = lines[0].split(",")
-    report = StudyReport(case=meta.get("case", ""),
-                         formulation=meta.get("formulation", ""))
-    for line in lines[1:]:
-        cells = line.split(",")
-        if cells[0] == "rate":
-            break
-        record = dict(zip(header, cells))
-        errors = {c: float(record[c]) if record[c] else None
-                  for c in ERROR_COLUMNS}
-        report.add_row(float(record["h"]), int(record["dofs"]), errors)
-    return report
-
-
 # ----------------------------------------------------------------------
 # log-log SVG plot
 
@@ -244,9 +219,10 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def plot_loglog(report, path, width=760, height=560):
+def plot_loglog(report, path):
     """Write a standalone SVG with one log-log polyline per error column
     and dashed reference triangles for slopes 1, 2 and 3."""
+    width, height = 760, 560
     hs = np.asarray(report.hs, dtype=float)
     columns = [c for c in ERROR_COLUMNS
                if all(r[c] is not None and r[c] > 0.0 for r in report.rows)]

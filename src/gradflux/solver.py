@@ -72,18 +72,6 @@ _LARGEST = {"key": None, "nnz": 0, "since": 0, "lu": None}
 _LOCK = threading.Lock()
 
 
-def residual_norm(matrix, x, rhs):
-    """Euclidean norm of A x - b."""
-    mat = sp.csr_matrix(matrix)
-    x = np.asarray(x, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if mat.shape[1] != x.shape[0] or mat.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix {mat.shape}, x {x.shape}, "
-            f"rhs {rhs.shape}")
-    return float(np.linalg.norm(mat @ x - rhs))
-
-
 def _factorize(mat, pivot_threshold=PIVOT_THRESHOLD):
     try:
         return spla.splu(mat.tocsc(), diag_pivot_thresh=pivot_threshold)

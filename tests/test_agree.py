@@ -32,12 +32,18 @@ def compare_with(dumped, tmp_path, arrays):
 
 def test_a_dump_agrees_with_itself_bitwise(dumped):
     _, arrays = dumped
-    # 3 problems x 4 formulations x 3 orders, 16 arrays each
-    assert len(arrays) == 3 * 4 * 3 * 16
+    # 3 problems x 4 formulations x 3 orders, 16 arrays each, and the
+    # CLI's 9 CSV and TXT files: 8 of `solve`, 1 of `convergence`
+    cli = sorted(key for key in arrays if key.startswith("cli/"))
+    assert len(cli) == 9
+    assert "cli/default/solve/field_u.csv" in cli
+    assert "cli/default/convergence/report.csv" in cli
+    assert len(arrays) == 3 * 4 * 3 * 16 + 9
     out = io.StringIO()
     assert agree.compare(str(dumped[0]), str(dumped[0]), out=out) == 0
     lines = out.getvalue().splitlines()
-    assert len(lines) == 4 * 16 + 1
+    # the two report.csv files share one line
+    assert len(lines) == 4 * 16 + 8 + 1
     assert all(line.endswith("bitwise") for line in lines[:-1])
 
 
@@ -69,3 +75,19 @@ def test_a_changed_index_array_or_a_missing_cell_fails(dumped, tmp_path):
         "change" in lines
     assert any(line.startswith("FAIL natural") and "schur.indices" in line
                and line.endswith("inf at sector-case2 k0") for line in lines)
+
+
+def test_a_doctored_cli_output_fails(dumped, tmp_path):
+    arrays = dict(dumped[1])
+    report = arrays["cli/default/solve/report.csv"]
+    # one row of h, dofs and ten errors, then the rate footer: no rate is
+    # defined on one mesh, so "rate" is skipped and the 11 cells read NaN
+    assert report.shape == (23,)
+    assert not np.isnan(report[:12]).any() and np.isnan(report[12:]).all()
+    audit = arrays["cli/default/solve/second_law_audit.txt"].copy()
+    audit[1] *= 1.0 + 1e-6
+    arrays["cli/default/solve/second_law_audit.txt"] = audit
+    rc, lines = compare_with(dumped, tmp_path, arrays)
+    assert rc == 1
+    assert any(line.startswith("FAIL default") and "second_law_audit.txt"
+               in line and line.endswith("at cli solve") for line in lines)

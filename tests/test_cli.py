@@ -146,6 +146,12 @@ def test_non_length_scale_is_a_config_error(tmp_path, capsys):
     ({"output": ""}, "output: expected a directory name, got ''"),
     ({"mesh": {"sizes": []}}, "mesh.sizes: expected at least one size"),
     ({"kappa": 10 ** 400}, "kappa: expected a finite number, got 1000"),
+    ({"mesh": {"sizes": [8, 4, 16]}},
+     "mesh.sizes: must be strictly increasing (coarse to fine), "
+     "got [8, 4, 16]"),
+    ({"mesh": {"sizes": [4, 4, 8]}},
+     "mesh.sizes: must be strictly increasing (coarse to fine), "
+     "got [4, 4, 8]"),
 ])
 def test_values_of_the_wrong_kind_exit_1_naming_the_field(tmp_path, capsys,
                                                           payload, message):
@@ -347,7 +353,9 @@ SHAPED = section(
     | section([("name", st.just("case3"))], nd=st.integers(1, 70)),
     formulation=st.sampled_from(FORMULATION_KINDS),
     k=st.integers(0, 2),
-    mesh=section(sizes=st.lists(st.integers(1, 40), max_size=4),
+    mesh=section(sizes=st.lists(st.integers(1, 40), max_size=4,
+                                unique=True).map(sorted)
+                 | st.lists(st.integers(1, 40), max_size=4),
                  grading=st.floats(1.0, 3.0)),
     kappa=st.floats(0.1, 3.0),
     zeta=st.floats(0.0, 3.0),
@@ -421,6 +429,7 @@ def assert_documented_fields(config):
     assert config.k == 0 or config.case_name == "case1"
     assert isinstance(config.sizes, list) and config.sizes
     assert all(exact_int(n) and n >= 1 for n in config.sizes)
+    assert all(a < b for a, b in zip(config.sizes, config.sizes[1:]))
     assert finite_float(config.grading) and config.grading >= 1.0
     assert finite_float(config.kappa) and config.kappa > 0.0
     assert finite_float(config.zeta) and config.zeta >= 0.0

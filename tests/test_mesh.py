@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradflux.mesh import (Mesh, MeshFormatError, _check_on_boundary,
-                           _square_boundary_distance, mesh_size, read_mesh,
-                           sector_mesh, unit_square_mesh, write_mesh)
+                           _square_boundary_distance, mesh_size, sector_mesh,
+                           unit_square_mesh)
 
 
 def test_unit_square_smallest_grid():
@@ -184,69 +184,80 @@ def test_non_finite_vertex_rejected(bad):
              ["bottom", "right", "left"])
 
 
-def test_write_read_round_trip(tmp_path):
-    mesh = unit_square_mesh(2)
-    path = tmp_path / "square.mesh"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary_edges, mesh.boundary_edges)
-    assert back.boundary_tags == mesh.boundary_tags
-
-
-def test_read_round_trip_sector(tmp_path):
-    mesh = sector_mesh(3 * np.pi / 4, 2, grading=2.0)
-    path = tmp_path / "sector.mesh"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-
-
-def test_read_rejects_dangling_index(tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("3 1 0\n0 0\n1 0\n0 1\n0 1 7\n")
-    with pytest.raises(MeshFormatError, match="line 5"):
-        read_mesh(path)
-
-
-def test_read_rejects_clockwise_triangle(tmp_path):
-    path = tmp_path / "cw.mesh"
-    path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 2 1\n0 1 bottom\n"
-                    "1 2 right\n2 0 left\n")
-    with pytest.raises(MeshFormatError, match="triangle 0"):
-        read_mesh(path)
-
-
-def test_read_rejects_nan_coordinate(tmp_path):
-    path = tmp_path / "nan.mesh"
-    path.write_text("3 1 3\n0 0\n1 0\nnan 1\n0 1 2\n0 1 bottom\n"
-                    "1 2 right\n2 0 left\n")
-    with pytest.raises(MeshFormatError,
-                       match="line 4: vertex 2 has a non-finite coordinate"):
-        read_mesh(path)
-
-
-def test_read_allows_comments(tmp_path):
-    path = tmp_path / "comments.mesh"
-    path.write_text("# a triangle\n3 1 3\n0 0\n1 0  # vertex\n0 1\n\n"
-                    "0 1 2\n0 1 bottom\n1 2 right\n2 0 left\n")
-    mesh = read_mesh(path)
-    assert mesh.n_triangles == 1
-
-
-def test_read_reports_wrong_counts(tmp_path):
-    path = tmp_path / "short.mesh"
-    path.write_text("3 1 0\n0 0\n1 0\n")
-    with pytest.raises(MeshFormatError, match="expected"):
-        read_mesh(path)
-
-
 def one_cell_square():
     # two CCW triangles (0, 1, 3) and (0, 3, 2) on the unit square
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     return vertices, np.array([[0, 1, 3], [0, 3, 2]])
+
+
+def one_cell_data(**changes):
+    """Constructor arguments of the valid one-cell square, as lists, with
+    ``changes`` applied."""
+    vertices, triangles = one_cell_square()
+    data = {"vertices": vertices.tolist(), "triangles": triangles.tolist(),
+            "boundary_edges": [[0, 1], [1, 3], [3, 2], [2, 0]],
+            "boundary_tags": ["bottom", "right", "top", "left"]}
+    data.update(changes)
+    return data
+
+
+def test_one_cell_data_is_a_valid_mesh():
+    mesh = Mesh(**one_cell_data(triangles=[[0, 1, 3.0], [0, 3, 2]]))
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 3], [0, 3, 2]]
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"vertices": [[0.0], [1.0], [0.0], [1.0]]},
+                 "vertex array must have shape (nv, 2), got (4, 1)",
+                 id="vertex-shape"),
+    pytest.param({"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                               [1.0, np.nan]]},
+                 "vertex 3 has a non-finite coordinate [1.0, nan]",
+                 id="non-finite-vertex"),
+    pytest.param({"triangles": [[0, 1], [0, 3]]},
+                 "triangle array must have shape (n, 3), got (2, 2)",
+                 id="triangle-shape"),
+    pytest.param({"triangles": [[0, 1, 3], [0, 3, 2.7]]},
+                 "triangle 1 = [0.0, 3.0, 2.7] has a vertex index that is "
+                 "not an integer", id="fractional-triangle-index"),
+    pytest.param({"triangles": [[0, 1, np.inf], [0, 3, 2]]},
+                 "triangle 0 = [0.0, 1.0, inf] has a vertex index that is "
+                 "not an integer", id="infinite-triangle-index"),
+    pytest.param({"triangles": [[0, 1, 3], [0, 3, 7]]},
+                 "triangle 1 = [0, 3, 7] references a vertex out of range "
+                 "(mesh has 4 vertices)", id="triangle-index-out-of-range"),
+    pytest.param({"triangles": [[0, 1, -1], [0, 3, 2]]},
+                 "triangle 0 = [0, 1, -1] references a vertex out of range",
+                 id="negative-triangle-index"),
+    pytest.param({"triangles": [[0, 1, 3], [0, 2, 3]]},
+                 "triangle 1 is not counter-clockwise",
+                 id="clockwise-triangle"),
+    pytest.param({"boundary_edges": [[0, 1, 3], [1, 3, 2], [3, 2, 0]],
+                  "boundary_tags": ["bottom", "right", "top"]},
+                 "boundary edge array must have shape (n, 2), got (3, 3)",
+                 id="boundary-edge-shape-3x3"),
+    pytest.param({"boundary_edges": [0, 1], "boundary_tags": ["bottom"]},
+                 "boundary edge array must have shape (n, 2), got (2,)",
+                 id="boundary-edge-shape-flat"),
+    pytest.param({"boundary_edges": [[0, 1], [1, 3.5], [3, 2], [2, 0]]},
+                 "boundary edge 1 = [1.0, 3.5] has a vertex index that is "
+                 "not an integer", id="fractional-boundary-edge-index"),
+    pytest.param({"boundary_tags": ["bottom", "right", "top"]},
+                 "3 boundary tags for 4 boundary edges; one tag required "
+                 "per boundary edge", id="tag-count"),
+    pytest.param({"boundary_tags": ["bottom", "right", "north", "left"]},
+                 "boundary edge 2 has unknown tag 'north'",
+                 id="unknown-tag"),
+    pytest.param({"boundary_edges": [[0, 1], [1, 3], [3, 2], [2, 4]]},
+                 "boundary edge 3 = [2, 4] references a vertex out of range "
+                 "(mesh has 4 vertices)",
+                 id="boundary-edge-index-out-of-range"),
+])
+def test_invalid_mesh_is_rejected_naming_the_item(changes, message):
+    with pytest.raises(MeshFormatError) as err:
+        Mesh(**one_cell_data(**changes))
+    assert str(err.value).startswith(message)
 
 
 def test_boundary_edge_listed_twice_rejected():

@@ -13,7 +13,7 @@ from gradflux.forms import (Formulation, StabilizationParams,
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import sector_mesh, unit_square_mesh
 from gradflux.solver import (SingularSystemError, SolverError, condense,
-                             matrix_digest, residual_norm, solve_direct)
+                             matrix_digest, solve_direct)
 from gradflux.study import problem_data_for
 
 
@@ -50,6 +50,10 @@ def constrained_system(case, kind, k, n=None, mesh=None, params=None):
                                     params=params), data)
 
 
+def residual(matrix, x, rhs):
+    return float(np.linalg.norm(matrix @ x - rhs))
+
+
 def dominant_matrix(n, seed):
     rng = np.random.default_rng(seed)
     mat = sp.random(n, n, density=0.05, random_state=rng, format="lil")
@@ -79,39 +83,15 @@ def test_random_sparse_system_meets_residual_contract():
     mat = mat.tocsr()
     b = rng.standard_normal(n)
     x = solve_direct(mat, b)
-    assert residual_norm(mat, x, b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_residual_norm_values():
-    mat = sp.diags([2.0, 4.0]).tocsr()
-    b = np.array([2.0, 8.0])
-    assert residual_norm(mat, np.zeros(2), b) == pytest.approx(
-        np.linalg.norm(b))
-    assert residual_norm(mat, np.array([1.0, 2.0]), b) == 0.0
-
-
-def test_residual_perturbation_bounded_by_column_norm():
-    rng = np.random.default_rng(13)
-    mat = sp.random(50, 50, density=0.1, random_state=rng).tocsr()
-    mat.setdiag(5.0)
-    b = rng.standard_normal(50)
-    x = rng.standard_normal(50)
-    base = residual_norm(mat, x, b)
-    delta = 1e-3
-    for i in (0, 17, 49):
-        xp = x.copy()
-        xp[i] += delta
-        col = np.linalg.norm(mat[:, [i]].toarray())
-        change = abs(residual_norm(mat, xp, b) - base)
-        assert change <= col * delta + 1e-12
+    assert residual(mat, x, b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_residual_dimension_mismatch():
     mat = sp.identity(3, format="csr")
-    with pytest.raises(ValueError):
-        residual_norm(mat, np.zeros(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        solve_direct(mat, np.zeros(4))
+    for rhs in (np.zeros(4), np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match=r"rhs shape \(.*\) does not "
+                           "match matrix dimension 3"):
+            solve_direct(mat, rhs)
 
 
 def test_singular_matrix_raises():
@@ -189,7 +169,7 @@ def test_changed_value_or_explicit_zero_is_a_miss(slot, factorizations):
         before = len(factorizations)
         x = solve_direct(other, rhs)
         assert len(factorizations) == before + 1
-        assert residual_norm(other, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert residual(other, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_sweep_cycle_holds_no_factor(slot, factorizations):
@@ -219,7 +199,7 @@ def test_data_study_cycle_holds_what_fits_the_bound(slot, factorizations):
         for system in systems:
             rhs = load[:system.n_dofs]
             x = solve_direct(system.matrix, rhs)
-            assert residual_norm(system.matrix, x, rhs) \
+            assert residual(system.matrix, x, rhs) \
                 <= 1e-10 * np.linalg.norm(rhs)
     largest = matrix_digest(solver._canonical_csr(systems[-1].matrix))
     assert slot["key"] == largest
@@ -293,7 +273,7 @@ def test_corrupted_factor_is_refactorized(slot, factorizations,
     x = solve_direct(mat, rhs)
     assert len(factorizations) == 3
     assert np.array_equal(x, x_good)
-    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert slot["lu"] is not None and not isinstance(slot["lu"], Corrupted)
     solve_direct(mat, rhs)
     assert len(factorizations) == 3
@@ -326,7 +306,7 @@ def test_factor_missing_the_contract_is_remade_with_full_pivoting(
 
     monkeypatch.setattr(solver, "_factorize", recording)
     x = solve_direct(mat, rhs)
-    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert thresholds == [solver.PIVOT_THRESHOLD, 1.0]
     solve_direct(mat, rhs)                       # comes back: held
     assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2
@@ -334,7 +314,7 @@ def test_factor_missing_the_contract_is_remade_with_full_pivoting(
     monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
     x = solve_direct(mat, rhs)
     assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2 + [1.0]
-    assert residual_norm(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     solve_direct(mat, rhs)
     assert len(thresholds) == 5
 
@@ -426,7 +406,7 @@ def test_condensed_solve_matches_the_full_solve(problem, k):
     x = recover(solve_direct(matrix, rhs))
     full = solve_direct(system.matrix, system.rhs)
     assert np.linalg.norm(x - full) <= 1e-10 * np.linalg.norm(full)
-    assert residual_norm(system.matrix, x, system.rhs) <= \
+    assert residual(system.matrix, x, system.rhs) <= \
         1e-10 * np.linalg.norm(system.rhs)
 
 

@@ -13,7 +13,11 @@ solution ``solve_case`` returns (all fields, concatenated), its error
 row (``ERROR_COLUMNS`` order) and its second-law audit: the violation
 count and all the s . e values it counts.  The audit's worst value is
 the largest of these; it is compared within them, so that a worst value
-at roundoff level is measured against the largest |s . e|.
+at roundoff level is measured against the largest |s . e|.  ``dump``
+also runs ``gradflux solve`` and ``gradflux convergence`` with the
+default config and stores the numbers of each CSV and TXT file they
+write, in file order, as one float array (an empty cell reads NaN),
+under ``cli/default/<command>/<file>``.
 
 ``compare`` prints, for each formulation and quantity, "bitwise" or the
 largest relative difference over the problems and orders (max |a - b|
@@ -23,7 +27,11 @@ missing on one side.
 """
 
 import argparse
+import contextlib
+import io
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -36,8 +44,9 @@ ORDERS = (0, 1, 2)
 
 def problems():
     """(label, mesh, case, dataset) of the three problems."""
-    from gradflux import (build_dataset, case1, case2, case3, sector_mesh,
-                          unit_square_mesh)
+    from gradflux.data_assign import build_dataset
+    from gradflux.manufactured import case1, case2, case3
+    from gradflux.mesh import sector_mesh, unit_square_mesh
 
     square = unit_square_mesh(4)
     sampled = case3()
@@ -59,7 +68,7 @@ def _csr(prefix, matrix, rhs):
 
 def cell(mesh, kind, k, case, dataset):
     """Every stored quantity of one formulation and order on one problem."""
-    from gradflux import Formulation, apply_dirichlet, assemble
+    from gradflux.forms import Formulation, apply_dirichlet, assemble
     from gradflux.postproc import ERROR_COLUMNS, second_law_values
     from gradflux.solver import condense
     from gradflux.study import problem_data_for, solve_case
@@ -82,6 +91,43 @@ def cell(mesh, kind, k, case, dataset):
     return out
 
 
+def numbers(path):
+    """Every number in a CSV or whitespace-separated TXT output, in file
+    order; an empty CSV cell reads NaN, words and comment lines are
+    skipped."""
+    values = []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("#"):
+                continue
+            cells = line.rstrip("\n").split(",") if path.endswith(".csv") \
+                else line.split()
+            for cell in cells:
+                try:
+                    values.append(float(cell) if cell else np.nan)
+                except ValueError:
+                    pass
+    return np.array(values)
+
+
+def cli_outputs():
+    """{command/file: numbers} of the default-config CLI runs."""
+    from gradflux.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("solve", "convergence"):
+            run_dir = os.path.join(tmp, command)
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main([command, "--out", run_dir]) != 0:
+                    raise RuntimeError(f"gradflux {command} failed")
+            for name in sorted(os.listdir(run_dir)):
+                if name.endswith((".csv", ".txt")):
+                    out[f"{command}/{name}"] = numbers(
+                        os.path.join(run_dir, name))
+    return out
+
+
 def dump(path):
     import gradflux
 
@@ -91,6 +137,8 @@ def dump(path):
             for k in ORDERS:
                 for name, arr in cell(mesh, kind, k, case, dataset).items():
                     arrays[f"{label}/{kind}/k{k}/{name}"] = arr
+    for name, arr in cli_outputs().items():
+        arrays[f"cli/default/{name}"] = arr
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays from {gradflux.__file__} -> {path}")
     return 0
@@ -131,7 +179,7 @@ def compare(parent_path, change_path, out=sys.stdout):
         verdict = "bitwise" if diff == 0.0 else f"{diff:.2e} at {where}"
         bad = not diff <= RTOL
         failed |= bad
-        print(f"{'FAIL' if bad else 'ok  '} {kind:10s} {quantity:18s} "
+        print(f"{'FAIL' if bad else 'ok  '} {kind:10s} {quantity:20s} "
               f"{verdict}", file=out)
     print(f"{'FAILED' if failed else 'agree'}: tolerance {RTOL:.0e} "
           f"relative", file=out)
