@@ -92,7 +92,7 @@ class RunConfig:
         formulation: "natural" | "eo_unstab" | "eo_min" | "eo_full"
         k:           0 | 1 | 2
         mesh:        {"sizes": [..] (non-empty, strictly increasing),
-                      "grading": <real>=1>}
+                      "grading": <real>=1, case2 only>}
         kappa:       positive real (default 1)
         zeta:        real >= 0 (default 1)
         stabilization: optional, any of alpha, gamma, eta, theta, beta
@@ -100,10 +100,10 @@ class RunConfig:
         output:      output directory (default "out")
 
     A key not listed here, at the top level or in a section, is an
-    error that names it, and so is ``case.phi`` outside case2 or
-    ``case.nd`` outside case3.  Quadrature follows the formulation
-    (:func:`gradflux.forms.default_quad_exactness`); ``verify`` uses a
-    fixed finite-difference step and sampling seed.
+    error that names it, and so is ``case.phi`` or ``mesh.grading``
+    outside case2 or ``case.nd`` outside case3.  Quadrature follows the
+    formulation (:func:`gradflux.forms.default_quad_exactness`);
+    ``verify`` uses a fixed finite-difference step and sampling seed.
     """
 
     def __init__(self, raw):
@@ -158,6 +158,9 @@ class RunConfig:
                               f"got {self.grading}")
         if self.grading == np.inf:
             raise ConfigError("mesh.grading: must be finite, got inf")
+        if "grading" in mesh and self.case_name != "case2":
+            raise ConfigError(f"mesh.grading: only case2 takes it, "
+                              f"got it for {self.case_name}")
 
         self.kappa = _number("kappa", raw.get("kappa", 1.0))
         if not 0.0 < self.kappa < np.inf:
@@ -195,10 +198,10 @@ class RunConfig:
             return manufactured.case2(self.phi, self.kappa, self.zeta)
         return manufactured.case3(self.kappa, self.zeta)
 
-    def build_meshes(self):
+    def build_meshes(self, sizes):
         if self.case_name == "case2":
-            return sector_meshes(self.phi, self.sizes, grading=self.grading)
-        return square_meshes(self.sizes)
+            return sector_meshes(self.phi, sizes, grading=self.grading)
+        return square_meshes(sizes)
 
     def formulation(self):
         return Formulation(self.kind, self.k)
@@ -236,7 +239,7 @@ def _outdir(config, override):
 
 def cmd_solve(config, out_dir, threads=1):
     case = config.build_case()
-    mesh = config.build_meshes()[0]
+    mesh, = config.build_meshes(config.sizes[:1])
     dataset = config.build_dataset(case)
     res = solve_case(mesh, config.formulation(), case, dataset=dataset,
                      params=config.stabilization)
@@ -266,7 +269,7 @@ def cmd_convergence(config, out_dir, threads=1):
     if len(config.sizes) < 3:
         raise ConfigError("mesh.sizes: convergence sweeps need >= 3 meshes")
     case = config.build_case()
-    meshes = config.build_meshes()
+    meshes = config.build_meshes(config.sizes)
     dataset = config.build_dataset(case)
     report, results = convergence_study(
         case, config.formulation(), meshes, dataset=dataset,
@@ -289,7 +292,7 @@ def cmd_data_study(config, out_dir, threads=1):
         raise ConfigError("nd_list: at least one sampling resolution "
                           "required")
     case = config.build_case()
-    meshes = config.build_meshes()
+    meshes = config.build_meshes(config.sizes)
     for nd in config.nd_list:
         dataset = build_dataset(nd, case.e, case.s)
         report, _ = convergence_study(

@@ -9,7 +9,7 @@ on elements only through :class:`Tabulation`.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -59,7 +59,7 @@ def _grad_monomials(points, powers):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _basis_coefficients(degree):
     """Columns express each nodal basis function in the monomial basis."""
     vand = _eval_monomials(lattice_nodes(degree), _monomial_powers(degree))
@@ -169,7 +169,7 @@ def _conical_product_rule(degree):
     return pts, wts
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def quadrature(exactness_degree):
     """Quadrature rule on the reference triangle, exact for all
     polynomials of total degree <= exactness_degree.  Memoized: rules
@@ -215,7 +215,6 @@ class FeSpace:
     dof_map: np.ndarray         # (nt, n_local_scalar)
     n_scalar_dofs: int
     node_coords: np.ndarray     # (n_scalar_dofs, 2)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def components(self):
@@ -225,25 +224,16 @@ class FeSpace:
     def n_dofs(self):
         return self.components * self.n_scalar_dofs
 
-    @property
-    def n_local(self):
-        return self.components * self.dof_map.shape[1]
-
-    def vector_dof_map(self):
-        """(nt, 2 * n_local_scalar) interleaved dof map for vector spaces."""
-        vm = self._cache.get("vector_dof_map")
-        if vm is None:
-            base = self.dof_map[:, :, None] * 2 + np.arange(2)
-            vm = base.reshape(len(self.dof_map), -1)
-            vm.flags.writeable = False
-            self._cache["vector_dof_map"] = vm
-        return vm
-
+    @functools.cached_property
     def element_dofs(self):
-        """Global dofs per element, (nt, n_local)."""
-        if self.value_rank == "vector2":
-            return self.vector_dof_map()
-        return self.dof_map
+        """Global dofs per element, (nt, components * n_local_scalar);
+        a vector space interleaves the components of each node."""
+        if self.value_rank == "scalar":
+            return self.dof_map
+        dofs = (self.dof_map[:, :, None] * 2 + np.arange(2)).reshape(
+            len(self.dof_map), -1)
+        dofs.flags.writeable = False
+        return dofs
 
     def tabulate(self, ref_points):
         """(values, reference gradients) of the scalar basis at reference
@@ -270,8 +260,8 @@ def _build_cg_dof_map(mesh, degree):
     edges = mesh.edges
     ne = len(edges)
 
-    n_local = (degree + 1) * (degree + 2) // 2
-    dof_map = np.empty((nt, n_local), dtype=np.int64)
+    n_basis = (degree + 1) * (degree + 2) // 2
+    dof_map = np.empty((nt, n_basis), dtype=np.int64)
     dof_map[:, 0:3] = mesh.triangles
 
     if n_edge_nodes:
@@ -307,11 +297,11 @@ def _build_cg_dof_map(mesh, degree):
 
 def _build_dg_dof_map(mesh, degree):
     nt = mesh.n_triangles
-    n_local = (degree + 1) * (degree + 2) // 2 if degree else 1
-    dof_map = (np.arange(nt)[:, None] * n_local
-               + np.arange(n_local)[None, :]).astype(np.int64)
+    n_basis = (degree + 1) * (degree + 2) // 2 if degree else 1
+    dof_map = (np.arange(nt)[:, None] * n_basis
+               + np.arange(n_basis)[None, :]).astype(np.int64)
     phys = physical_points(mesh, lattice_nodes(degree))
-    return dof_map, nt * n_local, phys.reshape(-1, 2)
+    return dof_map, nt * n_basis, phys.reshape(-1, 2)
 
 
 def build_space(mesh, family, degree, value_rank="scalar"):
@@ -374,7 +364,7 @@ def interpolate(space, f):
     coeffs = np.linalg.inv(mref) @ integrate(weight, vals,
                                              fx.reshape(nt, nq, -1))
     out = np.zeros(space.n_dofs)
-    out[space.element_dofs()] = coeffs.reshape(nt, -1)
+    out[space.element_dofs] = coeffs.reshape(nt, -1)
     return out
 
 
@@ -419,17 +409,6 @@ def integrate(weight, a, b=None):
     return np.matmul(np.swapaxes(a, -1, -2), weight[:, :, None] * b)
 
 
-def inverse_jacobians_t(mesh):
-    jac = mesh.jacobians
-    det = mesh.jacobian_dets
-    inv_t = np.empty_like(jac)
-    inv_t[:, 0, 0] = jac[:, 1, 1]
-    inv_t[:, 0, 1] = -jac[:, 1, 0]
-    inv_t[:, 1, 0] = -jac[:, 0, 1]
-    inv_t[:, 1, 1] = jac[:, 0, 0]
-    return inv_t / det[:, None, None]
-
-
 class Tabulation:
     """Bases and fields at one set of reference points on every element
     of a mesh.
@@ -463,11 +442,6 @@ class Tabulation:
         phys = physical_points(self.mesh, self.points)
         return phys[..., 0], phys[..., 1]
 
-    @functools.cached_property
-    def _inv_t(self):
-        """(nt, 2, 2) inverse-transposed Jacobians."""
-        return inverse_jacobians_t(self.mesh)
-
     def _reference_tables(self, space):
         key = (space.family, space.degree)
         if key not in self._reference:
@@ -483,7 +457,8 @@ class Tabulation:
         key = (space.family, space.degree)
         if key not in self._mapped:
             self._mapped[key] = _map_gradients(
-                self._inv_t, self._reference_tables(space)[1])
+                self.mesh.inverse_jacobians_t,
+                self._reference_tables(space)[1])
         return self._mapped[key]
 
     def div(self, space):
@@ -505,13 +480,15 @@ class Tabulation:
     def gradient(self, space, coeffs):
         """(nt, nq, 2) gradient of a scalar field."""
         ref = self._reference_gradient(space, coeffs[space.dof_map])
-        return np.matmul(ref, np.swapaxes(self._inv_t, 1, 2))
+        return np.matmul(ref,
+                         np.swapaxes(self.mesh.inverse_jacobians_t, 1, 2))
 
     def divergence(self, space, coeffs):
         """(nt, nq) divergence of a vector field."""
         ref = self._reference_gradient(space, _vector_local(space, coeffs))
         # ref[t, c, q, b]: reference derivative b of component c
-        return sum(self._inv_t[:, c, b, None] * ref[:, c, :, b]
+        inv_t = self.mesh.inverse_jacobians_t
+        return sum(inv_t[:, c, b, None] * ref[:, c, :, b]
                    for c in range(2) for b in range(2))
 
     def _reference_gradient(self, space, local):

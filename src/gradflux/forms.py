@@ -251,7 +251,7 @@ class BlockSystem:
         if self.spaces.e.family != "DG":
             return np.empty((self.spaces.mesh.n_triangles, 0),
                             dtype=np.int64)
-        return np.hstack([self.spaces.by_name(name).element_dofs()
+        return np.hstack([self.spaces.by_name(name).element_dofs
                           + self.offsets[name] for name in ("e", "s", "mu")])
 
     def split(self, vector):
@@ -493,7 +493,7 @@ def assemble(mesh, formulation, data, params=None):
 
     blocks = _BlockMatrix(spaces)
     add, add_mass = blocks.add, blocks.add_mass
-    dofs = {name: spaces.by_name(name).element_dofs() + offsets[name]
+    dofs = {name: spaces.by_name(name).element_dofs + offsets[name]
             for name in FIELD_NAMES}
 
     # --- primal-primal ------------------------------------------------
@@ -551,7 +551,7 @@ def assemble(mesh, formulation, data, params=None):
     if f_q is not None:
         load("u", integrate(W * f_q, phi_u))
     if e_dat is not None:
-        fe = integrate(W, phi_v, e_dat)           # (nt, n_local, 2)
+        fe = integrate(W, phi_v, e_dat)           # (nt, n_basis, 2)
         load("e", (1.0 - ga) * fe)
         if ga:
             load("mu", ga * fe)
@@ -593,14 +593,11 @@ def _add_neumann_loads(rhs, spaces, offsets, data):
     ref_pts = ref[:, None] + ts[:, None] * (np.roll(ref, -1, axis=0)
                                             - ref)[:, None]
     vals = space.tabulate(ref_pts.reshape(-1, 2))[0].reshape(3, n1d, -1)
-    owners = mesh.boundary_edge_elements()
-    tags = np.asarray(mesh.boundary_tags)
 
-    for tag in dict.fromkeys(mesh.boundary_tags):
+    for tag, (elem, le) in mesh.boundary_by_tag.items():
         if tag not in data.neumann:
             continue
         g_s, g_mu = data.neumann[tag]
-        elem, le = owners[tags == tag].T
         pa = mesh.vertices[mesh.triangles[elem, le]]
         tangent = mesh.vertices[mesh.triangles[elem, (le + 1) % 3]] - pa
         length = np.hypot(tangent[:, 0], tangent[:, 1])
@@ -631,15 +628,12 @@ def dirichlet_values(system, data):
     map; each boundary callable is evaluated once per tag.
     """
     spaces = system.spaces
-    owners = spaces.mesh.boundary_edge_elements()
-    tags = np.asarray(spaces.mesh.boundary_tags)
     fixed = np.zeros(system.n_dofs, dtype=bool)
     value = np.zeros(system.n_dofs)
-    for tag in dict.fromkeys(spaces.mesh.boundary_tags):
+    for tag, (elem, le) in spaces.mesh.boundary_by_tag.items():
         if tag not in data.dirichlet:
             continue
         g_u, g_lam = data.dirichlet[tag]
-        elem, le = owners[tags == tag].T
         for space, name, g in ((spaces.u, "u", g_u),
                                (spaces.lam, "lam", g_lam)):
             if g is None:

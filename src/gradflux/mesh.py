@@ -1,11 +1,15 @@
 """Triangular meshes of the unit square and of circular-sector domains.
 
-Meshes are plain vertex/triangle/boundary-edge containers with cached
-element arrays (Jacobians of the map from the reference triangle, areas,
-diameters).  All triangles are stored counter-clockwise and the
-arrays are frozen after construction, so a mesh can be shared freely
-between threads.
+Meshes are plain vertex/triangle/boundary-edge containers and the one
+owner of every array derived from them: the Jacobians of the map from
+the reference triangle, their determinants and inverse transposes, the
+element diameters and centroids, the edge table and the boundary edges
+by tag.  All triangles are stored counter-clockwise and every array is
+read-only, so a mesh can be shared freely between threads.
 """
+
+import functools
+import types
 
 import numpy as np
 
@@ -44,7 +48,8 @@ class Mesh:
 
     Every mesh is validated on construction: one that is not a valid
     edge-manifold triangulation with its boundary declared raises
-    MeshFormatError.
+    MeshFormatError.  Every array derived from the mesh is a cached
+    property, computed on first use and read-only.
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags):
@@ -55,7 +60,6 @@ class Mesh:
         self.triangles = _index_array(triangles, 3, "triangle")
         self.boundary_edges = _index_array(edges, 2, "boundary edge")
         self.boundary_tags = tuple(boundary_tags)
-        self._cache = {}
         self._validate()
         for arr in (self.vertices, self.triangles, self.boundary_edges):
             arr.flags.writeable = False
@@ -91,28 +95,26 @@ class Mesh:
                     f"{item} {bad[0]} = {arr[bad[0]].tolist()} references "
                     f"a vertex out of range (mesh has {nv} vertices)")
 
-        v = self.vertices
-        t = self.triangles
-        if len(t):
-            signed = _signed_areas(v, t)
-            if np.any(signed <= 0.0):
-                bad = int(np.argmin(signed))
-                raise MeshFormatError(
-                    f"triangle {bad} is not counter-clockwise "
-                    f"(signed area {signed[bad]:.3e})")
+        signed = 0.5 * self.jacobian_dets
+        if np.any(signed <= 0.0):
+            bad = int(np.argmin(signed))
+            raise MeshFormatError(
+                f"triangle {bad} is not counter-clockwise "
+                f"(signed area {signed[bad]:.3e})")
 
         # Edge-manifold check: interior edges touch two triangles,
         # boundary edges exactly one, and the declared boundary list must
         # match the set of single-triangle edges.
-        _, edges, _, counts = self._edge_table()
+        _, edges, _, counts = self._edge_table
         over = np.flatnonzero(counts > 2)
         if over.size:
             raise MeshFormatError(f"edge {_pair(edges[over[0]])} is shared "
                                   "by more than two triangles")
-        keys = _edge_keys(self.boundary_edges, nv)
-        number = self._edge_numbers(keys)
-        first = np.zeros(len(keys), dtype=bool)
-        first[np.unique(keys, return_index=True)[1]] = True
+        number = self._boundary_numbers
+        # an edge listed twice that no triangle has (-1) is reported at
+        # its first listing, which fails bounds_one
+        first = np.zeros(len(number), dtype=bool)
+        first[np.unique(number, return_index=True)[1]] = True
         bounds_one = np.append(counts, 0)[number] == 1    # -1 reads 0
         bad = np.flatnonzero(~first | ~bounds_one)
         if bad.size:
@@ -142,50 +144,41 @@ class Mesh:
         return len(self.triangles)
 
     # ------------------------------------------------------------------
-    # cached element geometry
+    # element geometry
 
-    def _geometry(self):
-        geo = self._cache.get("geometry")
-        if geo is None:
-            v, t = self.vertices, self.triangles
-            p0 = v[t[:, 0]]
-            jac = np.stack([v[t[:, 1]] - p0, v[t[:, 2]] - p0], axis=-1)
-            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            e0 = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
-            e1 = np.linalg.norm(v[t[:, 2]] - v[t[:, 1]], axis=1)
-            e2 = np.linalg.norm(v[t[:, 0]] - v[t[:, 2]], axis=1)
-            diam = np.maximum(e0, np.maximum(e1, e2))
-            geo = (jac, det, 0.5 * det, diam)
-            for arr in geo:
-                arr.flags.writeable = False
-            self._cache["geometry"] = geo
-        return geo
-
-    @property
+    @functools.cached_property
     def jacobians(self):
         """(nt, 2, 2) reference-to-physical Jacobians."""
-        return self._geometry()[0]
+        v, t = self.vertices, self.triangles
+        p0 = v[t[:, 0]]
+        return _frozen(np.stack([v[t[:, 1]] - p0, v[t[:, 2]] - p0],
+                                axis=-1))
 
-    @property
+    @functools.cached_property
     def jacobian_dets(self):
-        return self._geometry()[1]
+        """(nt,) det J, twice the area of each triangle."""
+        jac = self.jacobians
+        return _frozen(jac[:, 0, 0] * jac[:, 1, 1]
+                       - jac[:, 0, 1] * jac[:, 1, 0])
 
-    @property
-    def areas(self):
-        return self._geometry()[2]
+    @functools.cached_property
+    def inverse_jacobians_t(self):
+        """(nt, 2, 2) J^-T, which maps reference gradients to physical
+        ones: the cofactor matrix over det J."""
+        cofactors = self.jacobians[:, ::-1, ::-1] * [[1.0, -1.0],
+                                                     [-1.0, 1.0]]
+        return _frozen(cofactors / self.jacobian_dets[:, None, None])
 
-    @property
+    @functools.cached_property
     def diameters(self):
-        return self._geometry()[3]
+        """(nt,) element diameters h_K: the longest edge."""
+        p = self.vertices[self.triangles]
+        sides = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2)
+        return _frozen(sides.max(axis=1))
 
-    @property
+    @functools.cached_property
     def centroids(self):
-        c = self._cache.get("centroids")
-        if c is None:
-            c = self.vertices[self.triangles].mean(axis=1)
-            c.flags.writeable = False
-            self._cache["centroids"] = c
-        return c
+        return _frozen(self.vertices[self.triangles].mean(axis=1))
 
     # ------------------------------------------------------------------
     # edge table (used by CG dof maps and boundary conditions)
@@ -193,58 +186,57 @@ class Mesh:
     # Local edges are numbered 0: (v0,v1), 1: (v1,v2), 2: (v2,v0), so each
     # runs counter-clockwise around its triangle.
 
+    @functools.cached_property
     def _edge_table(self):
-        table = self._cache.get("edge_table")
-        if table is None:
-            pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-            keys, inverse, counts = np.unique(
-                _edge_keys(pairs, self.n_vertices), return_inverse=True,
-                return_counts=True)
-            edges = np.column_stack(np.divmod(keys, self.n_vertices))
-            table = (keys, edges, inverse.reshape(-1, 3), counts)
-            for arr in table:
-                arr.flags.writeable = False
-            self._cache["edge_table"] = table
-        return table
-
-    def _edge_numbers(self, keys):
-        """Edge number of each key from ``_edge_keys``, -1 if no
-        triangle has that edge."""
-        known = self._edge_table()[0]
-        pos = np.searchsorted(known, keys)
-        hit = pos < len(known)
-        hit[hit] = known[pos[hit]] == keys[hit]
-        return np.where(hit, pos, -1)
+        """(keys, edges, triangle_edges, counts) of the unique edges."""
+        pairs = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys, inverse, counts = np.unique(
+            _edge_keys(pairs, self.n_vertices), return_inverse=True,
+            return_counts=True)
+        edges = np.column_stack(np.divmod(keys, self.n_vertices))
+        return tuple(map(_frozen, (keys, edges, inverse.reshape(-1, 3),
+                                   counts)))
 
     @property
     def edges(self):
         """Sorted (a < b) unique edges, lexicographic order."""
-        return self._edge_table()[1]
+        return self._edge_table[1]
 
     @property
     def triangle_edges(self):
         """(nt, 3) edge number of each local edge."""
-        return self._edge_table()[2]
+        return self._edge_table[2]
 
+    @functools.cached_property
+    def _boundary_numbers(self):
+        """Edge number of each boundary edge, -1 if no triangle has it."""
+        known = self._edge_table[0]
+        keys = _edge_keys(self.boundary_edges, self.n_vertices)
+        pos = np.searchsorted(known, keys)
+        hit = pos < len(known)
+        hit[hit] = known[pos[hit]] == keys[hit]
+        return _frozen(np.where(hit, pos, -1))
+
+    @functools.cached_property
     def boundary_edge_elements(self):
         """(nb, 2) int array: (triangle index, local edge index) of each
         boundary edge."""
-        owners = self._cache.get("boundary_elems")
-        if owners is None:
-            number = self._edge_numbers(_edge_keys(self.boundary_edges,
-                                                   self.n_vertices))
-            if np.any(number < 0):
-                i = int(np.argmin(number))
-                raise MeshFormatError(f"boundary edge {i} bounds no "
-                                      "triangle")
-            # last writer wins; a boundary edge has one writer only
-            slot = np.empty(len(self.edges), dtype=np.int64)
-            slot[self.triangle_edges.ravel()] = np.arange(
-                self.triangle_edges.size)
-            owners = np.column_stack(np.divmod(slot[number], 3))
-            owners.flags.writeable = False
-            self._cache["boundary_elems"] = owners
-        return owners
+        # last writer wins; a boundary edge has one writer only
+        slot = np.empty(len(self.edges), dtype=np.int64)
+        slot[self.triangle_edges.ravel()] = np.arange(
+            self.triangle_edges.size)
+        return _frozen(np.column_stack(
+            np.divmod(slot[self._boundary_numbers], 3)))
+
+    @functools.cached_property
+    def boundary_by_tag(self):
+        """{tag: (elements, local edges)} of the boundary edges, tags in
+        order of first appearance, edges in boundary-edge order."""
+        tags = np.asarray(self.boundary_tags)
+        owners = self.boundary_edge_elements
+        return types.MappingProxyType({
+            tag: tuple(map(_frozen, owners[tags == tag].T))
+            for tag in dict.fromkeys(self.boundary_tags)})
 
 
 def _index_array(values, width, item):
@@ -275,12 +267,9 @@ def _pair(edge):
     return f"({a}, {b})"
 
 
-def _signed_areas(vertices, triangles):
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-                  - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 # ----------------------------------------------------------------------
@@ -300,31 +289,19 @@ def unit_square_mesh(n):
     coords = np.arange(n + 1) / n
     xs, ys = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xs.ravel(), ys.ravel()])
-
-    def vid(i, j):
-        # row i (y), column j (x)
-        return i * (n + 1) + j
-
-    triangles = []
-    for i in range(n):
-        for j in range(n):
-            ll, lr = vid(i, j), vid(i, j + 1)
-            ul, ur = vid(i + 1, j), vid(i + 1, j + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
-    edges = []
-    tags = []
-    for j in range(n):
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append("bottom")
-        edges.append((vid(n, j), vid(n, j + 1)))
-        tags.append("top")
-    for i in range(n):
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append("left")
-        edges.append((vid(i, n), vid(i + 1, n)))
-        tags.append("right")
-    mesh = Mesh(vertices, np.array(triangles), np.array(edges), tags)
+    # vertex (i, j) of row i (y) and column j (x) is i * (n + 1) + j;
+    # cell (i, j), row by row, has lower-left vertex ll
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    bottom = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    top = bottom + n * (n + 1)
+    left = bottom * (n + 1)
+    right = left + n
+    edges = np.stack([bottom, top, left, right], axis=1)   # (n, 4, 2)
+    edges = np.concatenate([edges[:, :2], edges[:, 2:]]).reshape(-1, 2)
+    tags = ("bottom", "top") * n + ("left", "right") * n
+    mesh = Mesh(vertices, triangles, edges, tags)
     _check_on_boundary(mesh, _square_boundary_distance)
     return mesh
 

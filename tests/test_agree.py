@@ -32,18 +32,24 @@ def compare_with(dumped, tmp_path, arrays):
 
 def test_a_dump_agrees_with_itself_bitwise(dumped):
     _, arrays = dumped
-    # 3 problems x 4 formulations x 3 orders, 16 arrays each, and the
-    # CLI's 9 CSV and TXT files: 8 of `solve`, 1 of `convergence`
+    # 3 problems x 4 formulations x 3 orders, 16 arrays each, the CLI's
+    # 9 CSV and TXT files (8 of `solve`, 1 of `convergence`) and 10
+    # arrays of each of 6 meshes
     cli = sorted(key for key in arrays if key.startswith("cli/"))
     assert len(cli) == 9
     assert "cli/default/solve/field_u.csv" in cli
     assert "cli/default/convergence/report.csv" in cli
-    assert len(arrays) == 3 * 4 * 3 * 16 + 9
+    mesh = sorted(key for key in arrays if key.startswith("mesh/"))
+    assert len(mesh) == 6 * 10
+    assert arrays["mesh/arrays/square-47/triangles"].shape == (2 * 47 ** 2, 3)
+    assert set(arrays["mesh/arrays/sector-3/tags"]) == {4, 5, 6}
+    assert len(arrays) == 3 * 4 * 3 * 16 + 9 + 6 * 10
     out = io.StringIO()
     assert agree.compare(str(dumped[0]), str(dumped[0]), out=out) == 0
     lines = out.getvalue().splitlines()
-    # the two report.csv files share one line
-    assert len(lines) == 4 * 16 + 8 + 1
+    # the two report.csv files share one line, and each mesh array one
+    # line over the meshes
+    assert len(lines) == 4 * 16 + 8 + 10 + 1
     assert all(line.endswith("bitwise") for line in lines[:-1])
 
 
@@ -91,3 +97,15 @@ def test_a_doctored_cli_output_fails(dumped, tmp_path):
     assert rc == 1
     assert any(line.startswith("FAIL default") and "second_law_audit.txt"
                in line and line.endswith("at cli solve") for line in lines)
+
+
+def test_a_doctored_triangle_fails(dumped, tmp_path):
+    arrays = dict(dumped[1])
+    triangles = arrays["mesh/arrays/square-16/triangles"].copy()
+    triangles[5, [1, 2]] = triangles[5, [2, 1]]
+    arrays["mesh/arrays/square-16/triangles"] = triangles
+    rc, lines = compare_with(dumped, tmp_path, arrays)
+    assert rc == 1
+    assert [line for line in lines if not line.endswith("bitwise")] == [
+        "FAIL arrays     triangles            inf at mesh square-16",
+        "FAILED: tolerance 1e-09 relative"]

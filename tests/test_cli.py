@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradflux import manufactured
+from gradflux import manufactured, mesh as gradflux_mesh, study
 from gradflux.cli import ConfigError, RunConfig, main
 from gradflux.forms import FORMULATION_KINDS, StabilizationParams
 
@@ -152,6 +152,12 @@ def test_non_length_scale_is_a_config_error(tmp_path, capsys):
     ({"mesh": {"sizes": [4, 4, 8]}},
      "mesh.sizes: must be strictly increasing (coarse to fine), "
      "got [4, 4, 8]"),
+    ({"mesh": {"sizes": [2], "grading": 2.0}},
+     "mesh.grading: only case2 takes it, got it for case1"),
+    ({"case": {"name": "case3", "nd": 4}, "mesh": {"grading": 1}},
+     "mesh.grading: only case2 takes it, got it for case3"),
+    ({"case": "case1", "mesh": {"grading": 0.2}},
+     "mesh.grading: must be >= 1, got 0.2"),
 ])
 def test_values_of_the_wrong_kind_exit_1_naming_the_field(tmp_path, capsys,
                                                           payload, message):
@@ -198,6 +204,26 @@ def test_nan_grading_is_a_config_error(tmp_path, capsys):
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "mesh.grading: must be >= 1, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, builder", [
+    ("case1", "unit_square_mesh"),
+    ("case2", "sector_mesh"),
+])
+def test_solve_builds_only_the_mesh_it_solves(tmp_path, monkeypatch, case,
+                                              builder):
+    built = []
+    build = getattr(gradflux_mesh, builder)
+
+    def recording(*args, **kwargs):
+        built.append(args[-1])        # the size: n, or (phi, n)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(study, builder, recording)
+    path = write_config(tmp_path, {"case": case, "mesh": {"sizes": [2, 4, 8]}})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) \
+        == 0
+    assert built == [2]
 
 
 def test_deterministic_solves_are_byte_identical(tmp_path):
@@ -376,6 +402,9 @@ UNKNOWN_KEYS = (st.sampled_from(("formulaton", "ndd", "size", "Kappa",
                 | st.text(max_size=4))
 # the case a case-section key belongs to
 OWNERS = {"phi": "case2", "nd": "case3"}
+# every key that only one case takes, by section
+ONE_CASE_KEYS = (("case", "phi", "case2"), ("case", "nd", "case3"),
+                 ("mesh", "grading", "case2"))
 
 
 @st.composite
@@ -456,14 +485,29 @@ def unknown_keys(raw):
     return names
 
 
+def case_name(raw):
+    """The case a config names, as RunConfig reads it."""
+    case = raw.get("case", "case1")
+    return case.get("name") if isinstance(case, dict) else case
+
+
 def misplaced_keys(raw):
-    """Names of the ``case`` keys that belong to another case than the
-    one the section names."""
-    case = raw.get("case") if isinstance(raw, dict) else None
-    if not isinstance(case, dict):
+    """Names of the ``case`` and ``mesh`` keys that belong to another case
+    than the one the config names, in the order RunConfig reads them."""
+    if not isinstance(raw, dict):
         return []
-    return [f"case.{key}" for key, owner in OWNERS.items()
-            if key in case and case.get("name") != owner]
+    return [f"{section}.{key}" for section, key, owner in ONE_CASE_KEYS
+            if isinstance(raw.get(section), dict) and key in raw[section]
+            and case_name(raw) != owner]
+
+
+def without(raw, names):
+    """``raw`` without the section keys ``names``."""
+    raw = dict(raw)
+    for name in names:
+        section, key = name.split(".")
+        raw[section] = {k: v for k, v in raw[section].items() if k != key}
+    return raw
 
 
 def known_only(raw):
@@ -491,11 +535,9 @@ def test_any_json_config_is_valid_or_a_config_error(raw):
                 return
             # the unknown key is the config's only fault: it is named
             assert str(err).startswith(f"{unknown[0]}: unknown key")
-        elif misplaced and raw["case"].get("name") in CASES:
+        elif misplaced and case_name(raw) in CASES:
             try:
-                RunConfig({**raw, "case": {
-                    key: value for key, value in raw["case"].items()
-                    if f"case.{key}" not in misplaced}})
+                RunConfig(without(raw, misplaced))
             except ConfigError:
                 return
             # a key of another case is the config's only fault: it is named

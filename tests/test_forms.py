@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gradflux import elements, forms
@@ -10,9 +10,16 @@ from gradflux.forms import (ElementField, Formulation, ProblemData,
                             StabilizationParams, apply_dirichlet, assemble,
                             dirichlet_values, stability_norm_matrix)
 from gradflux.manufactured import case1, case2, case3
-from gradflux.mesh import Mesh, mesh_size, sector_mesh, unit_square_mesh
+from gradflux.mesh import (Mesh, MeshFormatError, mesh_size, sector_mesh,
+                           unit_square_mesh)
 from gradflux.solver import matrix_digest, solve_direct
 from gradflux.study import problem_data_for
+
+
+def inverse_jacobians_t(mesh):
+    """J^-T of every element by LAPACK, independent of the mesh's own."""
+    return np.swapaxes(np.linalg.inv(mesh.jacobians), 1, 2)
+
 
 ALL_KINDS = ("natural", "eo_unstab", "eo_min", "eo_full")
 SQUARE_TAGS = ("left", "right", "bottom", "top")
@@ -210,7 +217,7 @@ def discrete_functional(system, data, case, params, rule, z):
     e_t, s_t = case.e_data(X, Y), case.s_data(X, Y)
     qv, fv = case.q(X, Y), case.f(X, Y)
     sol = system.split(z)
-    tab = elements.Tabulation(mesh, rule)
+    tab = EinsumReference(mesh, rule)
     u = tab.values(spaces.u, sol["u"])
     gu = tab.gradient(spaces.u, sol["u"])
     lam = tab.values(spaces.lam, sol["lam"])
@@ -242,8 +249,8 @@ def discrete_functional(system, data, case, params, rule, z):
 
     # Neumann additions: (g_s, lam) + (g_mu, u) over tagged edges
     ts, ws = gauss_legendre_01(6)
-    owners = mesh.boundary_edge_elements()
-    inv_jt = elements.inverse_jacobians_t(mesh)
+    owners = mesh.boundary_edge_elements
+    inv_jt = inverse_jacobians_t(mesh)
     p0 = mesh.vertices[mesh.triangles[:, 0]]
     for idx, ((a, b), tag) in enumerate(zip(mesh.boundary_edges,
                                             mesh.boundary_tags)):
@@ -269,16 +276,10 @@ def discrete_functional(system, data, case, params, rule, z):
     return val
 
 
-@pytest.mark.parametrize("kind", ["natural", "eo_full"])
-def test_assembly_is_gradient_of_functional(kind):
-    # definitive sign/term oracle: K z - F must equal the (multiplier-
-    # negated) gradient of the discrete augmented functional, evaluated
-    # with the same quadrature, to finite-difference roundoff
-    case = case1(kappa=1.3, zeta=0.7)
-    mesh = unit_square_mesh(2)
+def functional_gradient_defect(mesh, kind, case, data):
+    """Largest entry of K z - F minus the (multiplier-negated) central-
+    difference gradient of the discrete functional, at a random z."""
     form = Formulation(kind, 0)
-    data = problem_data_for(case, mesh)
-    data.kappa, data.zeta = 1.3, 0.7
     system = assemble(mesh, form, data)
     params = form.params()
     rule = quadrature(forms.default_quad_exactness(system.spaces))
@@ -299,7 +300,45 @@ def test_assembly_is_gradient_of_functional(kind):
     signs[system.field_slice("lam")] = -1.0
     signs[system.field_slice("mu")] = -1.0
     defect = (system.matrix @ z - system.rhs) - signs * grad_fd
-    assert np.abs(defect).max() < 5e-8
+    return np.abs(defect).max()
+
+
+@pytest.mark.parametrize("kind", ["natural", "eo_full"])
+def test_assembly_is_gradient_of_functional(kind):
+    # definitive sign/term oracle: K z - F must equal the (multiplier-
+    # negated) gradient of the discrete augmented functional, evaluated
+    # with the same quadrature, to finite-difference roundoff
+    case = case1(kappa=1.3, zeta=0.7)
+    mesh = unit_square_mesh(2)
+    data = problem_data_for(case, mesh)
+    data.kappa, data.zeta = 1.3, 0.7
+    assert functional_gradient_defect(mesh, kind, case, data) < 5e-8
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["natural", "eo_full"]),
+       # the one interior vertex of unit_square_mesh(2) moved by up to
+       # h / 5, h = 1/2 the grid spacing
+       shift=hnp.arrays(float, 2, elements=st.floats(-0.1, 0.1)))
+def test_perturbed_mesh_assembles_to_gradient_of_functional(kind, shift):
+    square = unit_square_mesh(2)
+    interior = np.setdiff1d(np.arange(square.n_vertices),
+                            square.boundary_edges)
+    assert interior.tolist() == [4]
+    vertices = square.vertices.copy()
+    vertices[interior] += shift
+    try:
+        mesh = Mesh(vertices, square.triangles, square.boundary_edges,
+                    square.boundary_tags)
+    except MeshFormatError:
+        assume(False)
+    case = case1(kappa=1.3, zeta=0.7)
+    data = problem_data_for(case, mesh)
+    # normal-trace data that do not vanish, so the boundary term counts
+    g_s = lambda x, y, nx, ny: x + 2.0 * y * nx - 0.3 * ny
+    g_mu = lambda x, y, nx, ny: x * x * ny + y * nx
+    data.neumann = {tag: (g_s, g_mu) for tag in ("bottom", "top")}
+    assert functional_gradient_defect(mesh, kind, case, data) < 5e-8
 
 
 @pytest.mark.parametrize("make_mesh, neumann_tags", [
@@ -407,7 +446,7 @@ class TripletReference:
         self.rows, self.cols, self.vals = [], [], []
 
     def dofs(self, name):
-        return self.spaces.by_name(name).element_dofs() + self.offsets[name]
+        return self.spaces.by_name(name).element_dofs + self.offsets[name]
 
     def add(self, row_name, col_name, mats):
         self.add_triplets(self.dofs(row_name), self.dofs(col_name), mats)
@@ -507,7 +546,7 @@ class EinsumReference:
 
     def grad(self, space):
         return np.einsum("tab,qlb->tqla",
-                         elements.inverse_jacobians_t(self.mesh),
+                         inverse_jacobians_t(self.mesh),
                          space.tabulate(self.points)[1])
 
     def div(self, space):
@@ -516,8 +555,8 @@ class EinsumReference:
 
     @staticmethod
     def local(space, coeffs):
-        return coeffs[space.vector_dof_map()].reshape(len(space.dof_map),
-                                                      -1, 2)
+        return coeffs[space.element_dofs].reshape(len(space.dof_map),
+                                                  -1, 2)
 
     def values(self, space, coeffs):
         if space.value_rank == "vector2":
@@ -555,7 +594,7 @@ class EinsumReference:
         if space.value_rank == "vector2":
             rhs = np.einsum("q,qi,tqc->tic", rule.weights, vals, fx)
             coeffs = np.einsum("ij,tjc->tic", minv, rhs)
-            out[space.vector_dof_map().reshape(-1)] = coeffs.reshape(-1)
+            out[space.element_dofs.reshape(-1)] = coeffs.reshape(-1)
         else:
             rhs = np.einsum("q,qi,tq->ti", rule.weights, vals, fx)
             out[space.dof_map.reshape(-1)] = (rhs @ minv.T).reshape(-1)
@@ -641,7 +680,7 @@ class EinsumReference:
         rhs = np.zeros(n_dofs)
 
         def load(name, contrib):
-            dofs = spaces.by_name(name).element_dofs() + offsets[name]
+            dofs = spaces.by_name(name).element_dofs + offsets[name]
             np.add.at(rhs, dofs.ravel(), contrib.ravel())
 
         if q_q is not None and w_ts is not None and zeta_q is not None:

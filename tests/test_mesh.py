@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -47,7 +50,7 @@ def test_mesh_size_halves_under_refinement():
 
 def test_square_area_sum():
     mesh = unit_square_mesh(7)
-    assert abs(mesh.areas.sum() - 1.0) < 1e-10
+    assert abs(mesh.jacobian_dets.sum() / 2 - 1.0) < 1e-10
 
 
 def test_square_boundary_tags_by_coordinate():
@@ -75,7 +78,7 @@ def test_sector_mesh_rings_and_grading():
                                        for j in range(1, n + 1)])
     assert list(counts) == [1] + [round(psi * j) + 1
                                   for j in range(1, n + 1)]
-    assert mesh.areas.sum() <= psi / 2
+    assert mesh.jacobian_dets.sum() / 2 <= psi / 2
 
 
 def scalar_stitch(vertices, phi, n):
@@ -135,9 +138,22 @@ def test_sector_mesh_rejects_bad_arguments():
 def test_element_geometry_invariants():
     for mesh in (unit_square_mesh(3),
                  sector_mesh(np.pi / 2, 3, grading=2.0)):
+        p = mesh.vertices[mesh.triangles]
+        jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        assert np.array_equal(mesh.jacobians, jac)
         assert np.all(mesh.jacobian_dets > 0)
-        assert np.allclose(mesh.areas, mesh.jacobian_dets / 2)
-        assert np.all(mesh.diameters >= np.sqrt(2 * mesh.areas) - 1e-14)
+        assert np.allclose(mesh.jacobian_dets, np.linalg.det(jac),
+                           rtol=1e-13, atol=0)
+        assert np.allclose(mesh.inverse_jacobians_t,
+                           np.swapaxes(np.linalg.inv(jac), 1, 2),
+                           rtol=1e-13, atol=1e-13)
+        sides = [np.hypot(*(p[:, (i + 1) % 3] - p[:, i]).T)
+                 for i in range(3)]
+        assert np.allclose(mesh.diameters, np.max(sides, axis=0),
+                           rtol=1e-14, atol=0)
+        assert np.all(mesh.diameters >= np.sqrt(mesh.jacobian_dets) - 1e-14)
+        assert np.allclose(mesh.centroids, p.mean(axis=1), rtol=0,
+                           atol=1e-15)
 
 
 def test_mesh_arrays_frozen():
@@ -146,6 +162,51 @@ def test_mesh_arrays_frozen():
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         mesh.triangles[0, 0] = 5
+    derived = [mesh.jacobians, mesh.jacobian_dets, mesh.inverse_jacobians_t,
+               mesh.diameters, mesh.centroids, mesh.edges,
+               mesh.triangle_edges, mesh.boundary_edge_elements]
+    derived += [arr for pair in mesh.boundary_by_tag.values()
+                for arr in pair]
+    for arr in derived:
+        assert not arr.flags.writeable
+    with pytest.raises(TypeError):
+        mesh.boundary_by_tag["left"] = mesh.boundary_by_tag["right"]
+
+
+def test_derived_arrays_are_computed_once_and_shared_between_threads():
+    # a fresh mesh read from more threads than cores at once: every
+    # thread sees the arrays a single thread computes
+    reference = unit_square_mesh(12)
+    names = ("jacobians", "jacobian_dets", "inverse_jacobians_t",
+             "diameters", "centroids", "edges", "triangle_edges",
+             "boundary_edge_elements")
+    expected = {name: getattr(reference, name) for name in names}
+    mesh = unit_square_mesh(12)
+    seen = []
+
+    def read():
+        seen.append({name: getattr(mesh, name) for name in names[::-1]}
+                    | {"by_tag": dict(mesh.boundary_by_tag)})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 8
+    for got in seen:
+        for name in names:
+            assert np.array_equal(got[name], expected[name]), name
+        assert list(got["by_tag"]) == list(reference.boundary_by_tag)
+        for tag, (elem, le) in got["by_tag"].items():
+            assert np.array_equal(elem, reference.boundary_by_tag[tag][0])
+            assert np.array_equal(le, reference.boundary_by_tag[tag][1])
 
 
 def test_undeclared_single_triangle_edge_rejected():
@@ -301,13 +362,72 @@ def test_boundary_edge_off_declared_boundary_rejected():
 def test_boundary_edge_elements_at_every_local_position():
     # unit_square_mesh(1) lists bottom, top, left, right; they sit on
     # local edges 0, 1, 2 and 1 of their triangles
-    owners = np.asarray(unit_square_mesh(1).boundary_edge_elements())
+    owners = np.asarray(unit_square_mesh(1).boundary_edge_elements)
     assert owners.shape == (4, 2)
     assert owners.tolist() == [[0, 0], [1, 1], [1, 2], [0, 1]]
 
     mesh = sector_mesh(np.pi / 2, 3, grading=2.0)
-    owners = np.asarray(mesh.boundary_edge_elements())
+    owners = np.asarray(mesh.boundary_edge_elements)
     assert set(owners[:, 1]) == {0, 1, 2}
     for (elem, le), edge in zip(owners, mesh.boundary_edges):
         tri = mesh.triangles[elem]
         assert {tri[le], tri[(le + 1) % 3]} == set(edge)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: unit_square_mesh(3),
+    lambda: sector_mesh(np.pi / 2, 3, grading=2.0),
+])
+def test_boundary_by_tag_holds_each_tags_owner_edges(make_mesh):
+    mesh = make_mesh()
+    tags = list(dict.fromkeys(mesh.boundary_tags))
+    assert list(mesh.boundary_by_tag) == tags
+    for tag, (elem, le) in mesh.boundary_by_tag.items():
+        # the edges of a tag, in boundary-edge order, each from its owner
+        edges = mesh.boundary_edges[np.asarray(mesh.boundary_tags) == tag]
+        assert len(elem) == len(le) == len(edges)
+        tri = mesh.triangles[elem]
+        ends = np.column_stack([tri[np.arange(len(le)), le],
+                                tri[np.arange(len(le)), (le + 1) % 3]])
+        assert np.array_equal(np.sort(ends, axis=1), np.sort(edges, axis=1))
+
+
+def loop_square_mesh(n):
+    """The vertices, triangles, boundary edges and tags of
+    ``unit_square_mesh(n)`` built cell by cell and edge by edge."""
+    coords = np.arange(n + 1) / n
+    xs, ys = np.meshgrid(coords, coords, indexing="xy")
+    vertices = np.column_stack([xs.ravel(), ys.ravel()])
+
+    def vid(i, j):
+        # row i (y), column j (x)
+        return i * (n + 1) + j
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            ll, lr = vid(i, j), vid(i, j + 1)
+            ul, ur = vid(i + 1, j), vid(i + 1, j + 1)
+            triangles.append((ll, lr, ur))
+            triangles.append((ll, ur, ul))
+    edges, tags = [], []
+    for j in range(n):
+        edges += [(vid(0, j), vid(0, j + 1)), (vid(n, j), vid(n, j + 1))]
+        tags += ["bottom", "top"]
+    for i in range(n):
+        edges += [(vid(i, 0), vid(i + 1, 0)), (vid(i, n), vid(i + 1, n))]
+        tags += ["left", "right"]
+    return vertices, np.array(triangles), np.array(edges), tuple(tags)
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [47])
+def test_unit_square_mesh_matches_loop_reference(n):
+    mesh = unit_square_mesh(n)
+    vertices, triangles, edges, tags = loop_square_mesh(n)
+    assert mesh.vertices.tobytes() == vertices.tobytes()
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tobytes() == triangles.astype(np.int64).tobytes()
+    assert mesh.triangles.shape == triangles.shape
+    assert mesh.boundary_edges.tobytes() == edges.astype(np.int64).tobytes()
+    assert mesh.boundary_edges.shape == edges.shape
+    assert mesh.boundary_tags == tags

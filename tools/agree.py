@@ -17,7 +17,12 @@ at roundoff level is measured against the largest |s . e|.  ``dump``
 also runs ``gradflux solve`` and ``gradflux convergence`` with the
 default config and stores the numbers of each CSV and TXT file they
 write, in file order, as one float array (an empty cell reads NaN),
-under ``cli/default/<command>/<file>``.
+under ``cli/default/<command>/<file>``.  Last, it stores the meshes
+themselves, under ``mesh/arrays/<mesh>/<array>``: the problems' square
+and sector meshes and ``unit_square_mesh(n)`` for n = 8, 16, 32 (the
+default config) and 47 (the finest of the data-study workload), each as
+the arrays ``MESH_ARRAYS`` names and its tags as indices into
+``BOUNDARY_TAGS``.
 
 ``compare`` prints, for each formulation and quantity, "bitwise" or the
 largest relative difference over the problems and orders (max |a - b|
@@ -40,6 +45,9 @@ import numpy as np
 RTOL = 1e-9
 KINDS = ("natural", "eo_unstab", "eo_min", "eo_full")
 ORDERS = (0, 1, 2)
+MESH_ARRAYS = ("vertices", "triangles", "boundary_edges", "jacobians",
+               "jacobian_dets", "diameters", "centroids", "edges",
+               "triangle_edges")
 
 
 def problems():
@@ -57,6 +65,25 @@ def problems():
         ("sector-case2", sector_mesh(np.pi / 2, 3, grading=2.0),
          case2(np.pi / 2), None),
     ]
+
+
+def meshes():
+    """(label, mesh) of every mesh whose arrays are dumped."""
+    from gradflux.mesh import sector_mesh, unit_square_mesh
+
+    out = [("sector-3", sector_mesh(np.pi / 2, 3, grading=2.0))]
+    return out + [(f"square-{n}", unit_square_mesh(n))
+                  for n in (4, 8, 16, 32, 47)]
+
+
+def mesh_arrays(mesh):
+    """{name: array} of one mesh; ``tags`` indexes ``BOUNDARY_TAGS``."""
+    from gradflux.mesh import BOUNDARY_TAGS
+
+    out = {name: np.asarray(getattr(mesh, name)) for name in MESH_ARRAYS}
+    out["tags"] = np.array([BOUNDARY_TAGS.index(tag)
+                            for tag in mesh.boundary_tags], dtype=np.int64)
+    return out
 
 
 def _csr(prefix, matrix, rhs):
@@ -139,6 +166,9 @@ def dump(path):
                     arrays[f"{label}/{kind}/k{k}/{name}"] = arr
     for name, arr in cli_outputs().items():
         arrays[f"cli/default/{name}"] = arr
+    for label, mesh in meshes():
+        for name, arr in mesh_arrays(mesh).items():
+            arrays[f"mesh/arrays/{label}/{name}"] = arr
     np.savez(path, **arrays)
     print(f"{len(arrays)} arrays from {gradflux.__file__} -> {path}")
     return 0
