@@ -95,15 +95,16 @@ class RunConfig:
                       "grading": <real>=1, case2 only>}
         kappa:       positive real (default 1)
         zeta:        real >= 0 (default 1)
-        stabilization: optional, any of alpha, gamma, eta, theta, beta
-        nd_list:     data-study sampling resolutions
+        stabilization: eo_* only, any of alpha, gamma, eta, theta, beta
+        nd_list:     data-study sampling resolutions, distinct
         output:      output directory (default "out")
 
     A key not listed here, at the top level or in a section, is an
     error that names it, and so is ``case.phi`` or ``mesh.grading``
-    outside case2 or ``case.nd`` outside case3.  Quadrature follows the
-    formulation (:func:`gradflux.forms.default_quad_exactness`);
-    ``verify`` uses a fixed finite-difference step and sampling seed.
+    outside case2, ``case.nd`` outside case3 or ``stabilization`` for
+    ``natural``.  Quadrature follows the formulation
+    (:func:`gradflux.forms.default_quad_exactness`); ``verify`` uses a
+    fixed finite-difference step and sampling seed.
     """
 
     def __init__(self, raw):
@@ -180,12 +181,18 @@ class RunConfig:
                 self.stabilization = StabilizationParams(**coeffs)
             except ValueError as err:
                 raise ConfigError(f"stabilization: {err}") from None
+            if self.kind == "natural":
+                raise ConfigError("stabilization: only the equal-order "
+                                  "formulations take it, got it for natural")
         else:
             self.stabilization = None
 
         self.nd_list = _integers("nd_list", raw.get("nd_list", []))
         if any(nd < 1 for nd in self.nd_list):
             raise ConfigError("nd_list: entries must be >= 1")
+        if len(set(self.nd_list)) < len(self.nd_list):
+            raise ConfigError(f"nd_list: entries must be distinct, "
+                              f"got {self.nd_list}")
         self.output = raw.get("output", "out")
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output: expected a directory name, "
@@ -237,7 +244,7 @@ def _outdir(config, override):
 # subcommands
 
 
-def cmd_solve(config, out_dir, threads=1):
+def cmd_solve(config, out_dir):
     case = config.build_case()
     mesh, = config.build_meshes(config.sizes[:1])
     dataset = config.build_dataset(case)
@@ -491,9 +498,10 @@ def main(argv=None):
         if args.command == "verify":             # writes no file
             return cmd_verify(config)
         out_dir = _outdir(config, args.out)
-        handler = {"solve": cmd_solve, "convergence": cmd_convergence,
-                   "data-study": cmd_data_study}
-        return handler[args.command](config, out_dir, threads=args.threads)
+        if args.command == "solve":
+            return cmd_solve(config, out_dir)
+        sweep = {"convergence": cmd_convergence, "data-study": cmd_data_study}
+        return sweep[args.command](config, out_dir, threads=args.threads)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 _MAX_CG_DEGREE = 3
 _MAX_DG_DEGREE = 2
@@ -150,23 +150,22 @@ def _expand_orbits(orbits):
 
 def _conical_product_rule(degree):
     """Collapsed Gauss-Jacobi x Gauss-Legendre product rule, exact for
-    total degree <= 2n - 1 with n points per direction."""
+    total degree <= 2n - 1 with n points per direction.  The Gauss rule
+    for the weight (1 - x) on [-1, 1] is computed by Golub-Welsch: the
+    eigenvalues of the Jacobi matrix of the (alpha, beta) = (1, 0)
+    recurrence, and twice the squared first eigenvector components."""
     n = (degree + 2) // 2
-    xj, wj = roots_jacobi(n, 1.0, 0.0)     # weight (1 - x) on [-1, 1]
-    xl, wl = roots_legendre(n)
-    xi = 0.5 * (xj + 1.0)
+    k = np.arange(n)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    xj, vecs = np.linalg.eigh(np.diag(-1.0 / ((2 * k + 1) * (2 * k + 3)))
+                              + np.diag(off, 1) + np.diag(off, -1))
+    xl, wl = leggauss(n)
+    xi = 0.5 * (xj[:, None] + 1.0)
     eta = 0.5 * (xl + 1.0)
-    w_xi = wj / 4.0                        # includes the (1 - xi) factor
-    w_eta = wl / 2.0
-    pts = np.empty((n * n, 2))
-    wts = np.empty(n * n)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            pts[k] = (xi[i], eta[j] * (1.0 - xi[i]))
-            wts[k] = w_xi[i] * w_eta[j]
-            k += 1
-    return pts, wts
+    pts = np.stack(np.broadcast_arrays(xi, eta * (1.0 - xi)), axis=-1)
+    # the Jacobi weights over 4 hold the factor (1 - xi)
+    return pts.reshape(-1, 2), np.outer(2.0 * vecs[0] ** 2 / 4.0,
+                                        wl / 2.0).ravel()
 
 
 @functools.cache
@@ -190,7 +189,7 @@ def quadrature(exactness_degree):
 
 def gauss_legendre_01(n):
     """n-point Gauss rule on [0, 1]; weights sum to 1."""
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

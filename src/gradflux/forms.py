@@ -78,7 +78,7 @@ class StabilizationParams:
 class Formulation:
     """Choice of discrete spaces plus default stabilization.
 
-    natural    : scalars CG_{k+1}, vectors DG_k; no stabilization needed.
+    natural    : scalars CG_{k+1}, vectors DG_k; takes no stabilization.
     eo_unstab  : everything CG_{k+1}; all coefficients zero.
     eo_min     : eo spaces with alpha = 1/8, eta = 1/2.
     eo_full    : eo spaces with all coefficients on.
@@ -126,10 +126,11 @@ class SpaceSet:
     def by_name(self, name):
         return getattr(self, name)
 
-    def offsets(self):
+    def offsets(self, names=FIELD_NAMES):
+        """({field: start}, length) of the dof vector of ``names``."""
         off = {}
         start = 0
-        for name in FIELD_NAMES:
+        for name in names:
             off[name] = start
             start += self.by_name(name).n_dofs
         return off, start
@@ -224,7 +225,8 @@ def _field_at(fld, x, y, shape=()):
 
 @dataclass
 class BlockSystem:
-    """Sparse matrix and load vector over the concatenated dof vector."""
+    """Sparse matrix and load vector over the dof vector that concatenates
+    the fields ``offsets`` names: all five, or u and lam alone."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -240,24 +242,10 @@ class BlockSystem:
         return self.matrix[self.field_slice(row_name),
                            self.field_slice(col_name)]
 
-    def local_dofs(self):
-        """(nt, m) global dofs of e, s and mu per element when their
-        space is DG, else an (nt, 0) array.
-
-        Every term among the vector fields is a volume integral, so with
-        element-supported bases they couple only within an element;
-        boundary terms and Dirichlet conditions touch u and lambda only.
-        """
-        if self.spaces.e.family != "DG":
-            return np.empty((self.spaces.mesh.n_triangles, 0),
-                            dtype=np.int64)
-        return np.hstack([self.spaces.by_name(name).element_dofs
-                          + self.offsets[name] for name in ("e", "s", "mu")])
-
     def split(self, vector):
-        """Slice a full dof vector into per-field coefficient arrays."""
+        """Slice a dof vector into per-field coefficient arrays."""
         return {name: np.asarray(vector[self.field_slice(name)])
-                for name in FIELD_NAMES}
+                for name in self.offsets}
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +328,9 @@ class _BlockMatrix:
     explicit zeros included.
     """
 
-    def __init__(self, spaces):
+    def __init__(self, spaces, names=FIELD_NAMES):
         self.spaces = spaces
+        self.names = names    # the fields of the dof vector, in order
         self._patterns = {}   # (row basis, column basis) -> pattern
         self._values = {}     # (row field, column field) -> (pairs, ra * cb)
         self._masses = {}     # (row field, column field) -> (pairs,)
@@ -387,8 +376,8 @@ class _BlockMatrix:
     def _blocks(self):
         """(row field, column field, diagonal only) of every stored
         block, in field order."""
-        for row_name in FIELD_NAMES:
-            for col_name in FIELD_NAMES:
+        for row_name in self.names:
+            for col_name in self.names:
                 key = (row_name, col_name)
                 if key in self._values:
                     yield row_name, col_name, False
@@ -418,7 +407,7 @@ class _BlockMatrix:
         return vals.ravel()
 
     def csr(self):
-        offsets, n_dofs = self.spaces.offsets()
+        offsets, n_dofs = self.spaces.offsets(self.names)
         row_len = np.zeros(n_dofs, dtype=np.int64)
         for row_name, col_name, diagonal in self._blocks():
             counts = self._layout(row_name, col_name, diagonal).counts
@@ -574,6 +563,71 @@ def assemble(mesh, formulation, data, params=None):
 
     return BlockSystem(matrix=matrix, rhs=rhs, offsets=offsets,
                        n_dofs=n_dofs, spaces=spaces)
+
+
+def assemble_natural(mesh, formulation, data):
+    """``natural``'s system over (u | lambda), and the map from its
+    solution to the five fields.
+
+    Without stabilization the e, s and mu rows of :func:`assemble` are
+    element mass equations, solved by e = grad u, mu = P e* - grad u and
+    s = P s* + grad lambda / kappa (P the L2 projection onto DG_k).  Put
+    into the u and lambda rows, they leave [[A, B], [-B^T, A / kappa]],
+    A the CG_{k+1} stiffness and B its zeta mass, with the loads
+    (f, phi) + (e*, grad phi) and -(q, phi) - (s*, grad phi) plus the
+    Neumann terms: the Schur complement in e, s and mu, on the same
+    quadrature.  Returns the pre-Dirichlet BlockSystem over the fields
+    u and lam, and ``fields(x)``, the five fields for its solution x.
+    """
+    data.check_tags(mesh)
+    spaces = formulation.build_spaces(mesh)
+    tab = Tabulation(mesh, quadrature(default_quad_exactness(spaces)))
+    offsets, n_dofs = spaces.offsets(("u", "lam"))
+    kp, W, (X, Y) = float(data.kappa), tab.W, tab.xy
+    zeta_q = _field_at(data.zeta, X, Y)
+    e_dat = _field_at(data.e_data, X, Y, (2,))
+    s_dat = _field_at(data.s_data, X, Y, (2,))
+    phi_u, grad_u = tab.phi(spaces.u), tab.grad(spaces.u)
+
+    blocks = _BlockMatrix(spaces, ("u", "lam"))
+    stiff = _stiffness(W, grad_u)
+    blocks.add("u", "u", stiff)
+    blocks.add("lam", "lam", stiff / kp)
+    if zeta_q is not None:
+        b_ul = integrate(W * zeta_q, phi_u, phi_u)
+        blocks.add("u", "lam", b_ul)
+        blocks.add("lam", "u", -b_ul.transpose(0, 2, 1))
+
+    rhs = np.zeros(n_dofs)
+    for name, sign, source, vector in (("u", 1.0, data.f, e_dat),
+                                       ("lam", -1.0, data.q, s_dat)):
+        local = np.zeros(spaces.u.dof_map.shape)
+        source = _field_at(source, X, Y)
+        if source is not None:
+            local += integrate(W * source, phi_u)
+        if vector is not None:
+            local += sum(integrate(W * vector[..., c], grad_u[..., c])
+                         for c in range(2))
+        np.add.at(rhs, spaces.u.dof_map + offsets[name], sign * local)
+    _add_neumann_loads(rhs, spaces, offsets, data)
+
+    phi_v = tab.phi(spaces.e)
+    mass_v = integrate(W, phi_v, phi_v)
+    e_proj, s_proj = (0.0 if v is None else
+                      np.linalg.solve(mass_v, integrate(W, phi_v, v))
+                      for v in (e_dat, s_dat))
+    nodes = Tabulation(mesh, elements.lattice_nodes(formulation.k))
+
+    def fields(x):
+        # DG coefficients: values at the nodes, (element, node, component)
+        u, lam = np.split(x, [offsets["lam"]])
+        grad_u = nodes.gradient(spaces.u, u)
+        s = s_proj + nodes.gradient(spaces.lam, lam) / kp
+        return {"u": u, "e": grad_u.ravel(), "s": s.ravel(), "lam": lam,
+                "mu": (e_proj - grad_u).ravel()}
+
+    return BlockSystem(matrix=blocks.csr(), rhs=rhs, offsets=offsets,
+                       n_dofs=n_dofs, spaces=spaces), fields
 
 
 def _add_neumann_loads(rhs, spaces, offsets, data):

@@ -53,7 +53,8 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, boundary_edges, boundary_tags):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays alone
+        self.vertices = np.array(vertices, dtype=float, order="C")
         edges = np.asarray(boundary_edges)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -240,7 +241,7 @@ class Mesh:
 
 
 def _index_array(values, width, item):
-    """``values`` as a contiguous (n, width) int64 array of vertex
+    """``values`` as a new contiguous (n, width) int64 array of vertex
     indices.  A wrong shape, or a float index that is not whole, raises
     MeshFormatError naming the first offending ``item``."""
     raw = np.asarray(values)
@@ -253,7 +254,7 @@ def _index_array(values, width, item):
         if bad.size:
             raise MeshFormatError(f"{item} {bad[0]} = {raw[bad[0]].tolist()} "
                                   "has a vertex index that is not an integer")
-    return np.ascontiguousarray(raw, dtype=np.int64)
+    return np.array(raw, dtype=np.int64, order="C")
 
 
 def _edge_keys(pairs, n_vertices):

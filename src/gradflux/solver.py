@@ -15,9 +15,6 @@ The factor of the largest matrix is reused when that matrix comes back
 soon.  In a data study only the right-hand side changes between data
 sets, so one matrix is solved against many loads; see
 :func:`solve_direct` for when the factor is held.
-
-Unknowns that couple only within their element are eliminated before
-the LU by :func:`condense`, and recovered after it.
 """
 
 import hashlib
@@ -145,71 +142,3 @@ def solve_direct(matrix, rhs):
             if slot["since"] > slot["nnz"]:
                 slot["lu"] = None
     return x
-
-
-def condense(matrix, rhs, local):
-    """Static condensation of element-local unknowns (Guyan, AIAA J.
-    3(2), 1965).
-
-    ``local`` is an (n_groups, m) array of dofs whose unknowns couple
-    only within their own row of ``local`` and to the dofs it does not
-    list.  Their dense blocks A_ll are inverted group by group, which
-    leaves the Schur system S = A_gg - A_gl A_ll^-1 A_lg with load
-    b_g - A_gl A_ll^-1 b_l over the other dofs, in increasing order.
-    Returns (S, load, recover): ``recover(x_g)`` solves the groups for
-    their unknowns and returns the full x after checking the residual
-    contract on the full system.  With m = 0 the matrix and the load
-    come back themselves and ``recover`` returns x_g as it is.
-    """
-    n_groups, m = np.shape(local)
-    if m == 0:
-        return matrix, rhs, lambda x: x
-    mat = _canonical_csr(matrix)
-    rhs = np.asarray(rhs, dtype=float)
-    loc = np.asarray(local).ravel()
-    slot = np.full(mat.shape[0], -1)      # place in loc, -1 if not local
-    slot[loc] = np.arange(len(loc))
-    glob = np.flatnonzero(slot < 0)
-
-    rows = mat[loc]
-    row = np.repeat(np.arange(len(loc)), np.diff(rows.indptr))
-    col = slot[rows.indices]
-    inner = col >= 0
-    cross = np.flatnonzero(inner & (col // m != row // m))
-    if cross.size:
-        i = cross[0]
-        raise ValueError(f"entry ({loc[row[i]]}, {loc[col[i]]}) couples "
-                         f"local groups {row[i] // m} and {col[i] // m}")
-    blocks = np.zeros((n_groups, m, m))
-    row, col = row[inner], col[inner]
-    blocks[row // m, row % m, col % m] = rows.data[inner]
-    try:
-        inverse = np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:
-        inverse = None
-    if inverse is None or not np.all(np.isfinite(inverse)):
-        raise SingularSystemError("static condensation: a local block is "
-                                  "singular")
-    inv_ll = sp.bsr_matrix((inverse, np.arange(n_groups),
-                            np.arange(n_groups + 1)),
-                           shape=(len(loc), len(loc))).tocsr()
-    a_lg = rows[:, glob]
-    glob_rows = mat[glob]
-    a_gl = glob_rows[:, loc]
-    schur = glob_rows[:, glob] - a_gl @ (inv_ll @ a_lg)
-    rhs_l = rhs[loc]
-    load = rhs[glob] - a_gl @ (inv_ll @ rhs_l)
-
-    def recover(x_glob):
-        x = np.empty(mat.shape[0])
-        x[glob] = x_glob
-        x[loc] = inv_ll @ (rhs_l - a_lg @ x_glob)
-        scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-        rel = float(np.linalg.norm(mat @ x - rhs)) / scale
-        if not rel <= RESIDUAL_RTOL:
-            raise SolverError(
-                f"recovered solution: relative residual {rel:.3e} of the "
-                f"full system exceeds {RESIDUAL_RTOL:.1e}")
-        return x
-
-    return schur, load, recover

@@ -8,13 +8,16 @@ records into study reports.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data_assign import assign_to_elements
 from .elements import Tabulation, build_space, interpolate, quadrature
-from .forms import ProblemData, apply_dirichlet, assemble
+from .forms import (ProblemData, apply_dirichlet, assemble,
+                    assemble_natural)
 from .mesh import mesh_size, sector_mesh, unit_square_mesh
 from .postproc import (ERROR_COLUMNS, StudyReport, error_norms,
                        scalar_error_norms, second_law_audit)
-from .solver import condense, solve_direct
+from .solver import SolverError, solve_direct
 
 
 def problem_data_for(case, mesh, dataset=None):
@@ -76,13 +79,12 @@ def solve_case(mesh, formulation, case, dataset=None, params=None):
     Assembly and error norms integrate with the formulation's one rule,
     :func:`gradflux.forms.default_quad_exactness`.
 
-    Every solve takes one path: the element-local unknowns of the
-    system (e, s and mu when they are DG, as in ``natural``; none for
-    the equal-order formulations) are condensed out element by element,
-    ``solve_direct`` solves the remaining Schur system, and the local
-    unknowns are recovered and checked against the residual contract on
-    the full constrained system.  ``n_solved`` counts the unknowns
-    ``solve_direct`` saw.
+    ``natural`` solves its system over u and lambda
+    (:func:`gradflux.forms.assemble_natural`) and recovers e, s and mu
+    from it; it takes no stabilization (ValueError for a non-zero
+    coefficient).  A recovered field that is not finite raises
+    SolverError.  ``n_solved`` counts the unknowns ``solve_direct``
+    saw, ``n_dofs`` those of the five fields.
 
     The result holds coefficient vectors, not the matrix.  When the
     solved matrix has the largest factor solved so far, the solver may
@@ -91,19 +93,25 @@ def solve_case(mesh, formulation, case, dataset=None, params=None):
     :func:`gradflux.solver.solve_direct` for when it is held.
     """
     data = problem_data_for(case, mesh, dataset)
-    system = assemble(mesh, formulation, data, params=params)
+    if formulation.kind != "natural":
+        system, fields = assemble(mesh, formulation, data, params), None
+    elif params in (None, formulation.params()):
+        system, fields = assemble_natural(mesh, formulation, data)
+    else:
+        raise ValueError(f"natural takes no stabilization, got {params}")
     constrained = apply_dirichlet(system, data)
     del system
-    matrix, rhs, recover = condense(constrained.matrix, constrained.rhs,
-                                    constrained.local_dofs())
-    x = recover(solve_direct(matrix, rhs))
-    solution = constrained.split(x)
-    errors = error_norms(constrained.spaces, solution, case)
-    audit = second_law_audit(constrained.spaces, solution)
-    return SolveResult(mesh=mesh, spaces=constrained.spaces,
-                       solution=solution, errors=errors, audit=audit,
-                       h=mesh_size(mesh), n_dofs=constrained.n_dofs,
-                       n_solved=len(rhs))
+    x = solve_direct(constrained.matrix, constrained.rhs)
+    solution = constrained.split(x) if fields is None else fields(x)
+    bad = [name for name, v in solution.items() if not np.isfinite(v).all()]
+    if bad:
+        raise SolverError(f"recovered field {bad[0]} is not finite")
+    spaces = constrained.spaces
+    errors = error_norms(spaces, solution, case)
+    audit = second_law_audit(spaces, solution)
+    return SolveResult(mesh=mesh, spaces=spaces, solution=solution,
+                       errors=errors, audit=audit, h=mesh_size(mesh),
+                       n_dofs=spaces.offsets()[1], n_solved=len(x))
 
 
 def square_meshes(sizes):

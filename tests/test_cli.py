@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +108,13 @@ def test_data_study_requires_case3_and_nd_list(tmp_path):
     path = write_config(tmp_path, {"case": "case3"}, name="c2.json")
     assert main(["data-study", "--config", path,
                  "--out", str(tmp_path / "b")]) == 1
+    # a repeated resolution would solve twice and overwrite its report:
+    # rejected before anything is solved or written
+    path = write_config(tmp_path, {"case": "case3", "nd_list": [4, 4]},
+                        name="c3.json")
+    assert main(["data-study", "--config", path,
+                 "--out", str(tmp_path / "c")]) == 1
+    assert not (tmp_path / "c").exists()
 
 
 def test_data_study_writes_per_nd_reports(tmp_path):
@@ -158,6 +166,18 @@ def test_non_length_scale_is_a_config_error(tmp_path, capsys):
      "mesh.grading: only case2 takes it, got it for case3"),
     ({"case": "case1", "mesh": {"grading": 0.2}},
      "mesh.grading: must be >= 1, got 0.2"),
+    ({"stabilization": {"alpha": 0.1}},
+     "stabilization: only the equal-order formulations take it, got it for "
+     "natural"),
+    ({"formulation": "natural", "stabilization": {}},
+     "stabilization: only the equal-order formulations take it, got it for "
+     "natural"),
+    ({"stabilization": {"gamma": 1.0}},
+     "stabilization: gamma must be < 1, got 1.0"),
+    ({"case": "case3", "nd_list": [4, 4]},
+     "nd_list: entries must be distinct, got [4, 4]"),
+    ({"nd_list": [8, 2, 8]},
+     "nd_list: entries must be distinct, got [8, 2, 8]"),
 ])
 def test_values_of_the_wrong_kind_exit_1_naming_the_field(tmp_path, capsys,
                                                           payload, message):
@@ -247,8 +267,30 @@ def test_solve_prints_the_unknowns_solved(tmp_path, capsys):
                                    "mesh": {"sizes": [2]}})
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 0
-    # 8 elements of 18 condensed e, s and mu dofs each leave u and lambda
+    # u and lambda are solved; e, s and mu, 18 dofs on each of the 8
+    # elements, are recovered from them
     assert "dofs=194 solved=50" in capsys.readouterr().out
+
+
+def test_a_non_finite_recovered_field_exits_2(tmp_path, monkeypatch,
+                                             capsys):
+    assemble_natural = study.assemble_natural
+
+    def broken(*args):
+        system, fields = assemble_natural(*args)
+
+        def non_finite(x):
+            out = fields(x)
+            out["mu"] = out["mu"] * np.inf        # 0 * inf is NaN too
+            return out
+        return system, non_finite
+
+    monkeypatch.setattr(study, "assemble_natural", broken)
+    path = write_config(tmp_path, {"mesh": {"sizes": [2]}})
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "numerical failure: recovered field mu is not finite\n"
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -387,7 +429,8 @@ SHAPED = section(
     zeta=st.floats(0.0, 3.0),
     stabilization=st.dictionaries(st.sampled_from(COEFFICIENTS),
                                   st.floats(0.0, 0.2), max_size=3),
-    nd_list=st.lists(st.integers(1, 70), max_size=3),
+    nd_list=st.lists(st.integers(1, 70), max_size=3, unique=True)
+    | st.lists(st.integers(1, 70), max_size=3),
     output=st.text(min_size=1, max_size=8),
 )
 KEYS = ("case", "formulation", "k", "mesh", "kappa", "zeta",
@@ -468,8 +511,10 @@ def assert_documented_fields(config):
         assert all(finite_float(getattr(st_, name)) and getattr(st_, name)
                    >= 0.0 for name in COEFFICIENTS)
         assert st_.alpha <= 0.25 and st_.gamma < 1.0 and st_.eta < 1.0
+    assert config.stabilization is None or config.kind != "natural"
     assert isinstance(config.nd_list, list)
     assert all(exact_int(nd) and nd >= 1 for nd in config.nd_list)
+    assert len(set(config.nd_list)) == len(config.nd_list)
     assert type(config.output) is str and config.output
 
 
@@ -493,19 +538,27 @@ def case_name(raw):
 
 def misplaced_keys(raw):
     """Names of the ``case`` and ``mesh`` keys that belong to another case
-    than the one the config names, in the order RunConfig reads them."""
+    than the one the config names, then ``stabilization`` if it is given
+    for natural, in the order RunConfig reads them."""
     if not isinstance(raw, dict):
         return []
-    return [f"{section}.{key}" for section, key, owner in ONE_CASE_KEYS
-            if isinstance(raw.get(section), dict) and key in raw[section]
-            and case_name(raw) != owner]
+    names = [f"{section}.{key}" for section, key, owner in ONE_CASE_KEYS
+             if isinstance(raw.get(section), dict) and key in raw[section]
+             and case_name(raw) != owner]
+    if raw.get("stabilization") is not None and \
+            raw.get("formulation", "natural") == "natural":
+        names.append("stabilization")
+    return names
 
 
 def without(raw, names):
-    """``raw`` without the section keys ``names``."""
+    """``raw`` without the keys ``names``, top-level or section keys."""
     raw = dict(raw)
     for name in names:
-        section, key = name.split(".")
+        section, _, key = name.partition(".")
+        if not key:
+            del raw[section]
+            continue
         raw[section] = {k: v for k, v in raw[section].items() if k != key}
     return raw
 
@@ -540,8 +593,10 @@ def test_any_json_config_is_valid_or_a_config_error(raw):
                 RunConfig(without(raw, misplaced))
             except ConfigError:
                 return
-            # a key of another case is the config's only fault: it is named
-            assert str(err).startswith(f"{misplaced[0]}: ")
+            # a key of another case, or stabilization for natural, is the
+            # config's only fault: it is named, or one of its own keys is
+            assert str(err).startswith((f"{misplaced[0]}: ",
+                                        f"{misplaced[0]}."))
         return
     assert not unknown and not misplaced
     assert_documented_fields(config)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gradflux.elements import (Tabulation, build_space, interpolate,
-                               lagrange_eval, lagrange_grad, lattice_nodes,
-                               physical_points, quadrature)
+from gradflux.elements import (Tabulation, build_space, gauss_legendre_01,
+                               interpolate, lagrange_eval, lagrange_grad,
+                               lattice_nodes, physical_points, quadrature)
 from gradflux.mesh import Mesh, unit_square_mesh
 
 
@@ -126,6 +126,29 @@ def test_quadrature_monomial_exactness():
                 exact = (math.factorial(a) * math.factorial(b)
                          / math.factorial(a + b + 2))
                 assert abs(val - exact) <= 1e-14, (d, a, b)
+
+
+def test_gauss_rules_match_scipy_roots():
+    # the conical rules (degrees 7-10) and the edge rule, computed with
+    # numpy alone, against the same products of scipy's 1D rules
+    from scipy.special import roots_jacobi, roots_legendre
+
+    for d in range(7, 11):
+        n = (d + 2) // 2
+        xj, wj = roots_jacobi(n, 1.0, 0.0)
+        xl, wl = roots_legendre(n)
+        xi, eta = np.meshgrid(0.5 * (xj + 1.0), 0.5 * (xl + 1.0),
+                              indexing="ij")
+        rule = quadrature(d)
+        assert np.abs(rule.points - np.column_stack(
+            [xi.ravel(), (eta * (1.0 - xi)).ravel()])).max() <= 1e-14
+        assert np.abs(rule.weights
+                      - np.outer(wj / 4.0, wl / 2.0).ravel()).max() <= 1e-14
+    for n in range(1, 7):
+        x, w = roots_legendre(n)
+        ts, ws = gauss_legendre_01(n)
+        assert np.abs(ts - 0.5 * (x + 1.0)).max() <= 1e-14
+        assert np.abs(ws - 0.5 * w).max() <= 1e-14
 
 
 def test_quadrature_rejects_unsupported_degree():

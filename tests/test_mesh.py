@@ -173,6 +173,19 @@ def test_mesh_arrays_frozen():
         mesh.boundary_by_tag["left"] = mesh.boundary_by_tag["right"]
 
 
+def test_mesh_copies_the_arrays_it_freezes():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    t = np.array([[0, 1, 2]], dtype=np.int64)
+    e = np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64)
+    mesh = Mesh(v, t, e, ["bottom", "right", "left"])
+    for given, held in ((v, mesh.vertices), (t, mesh.triangles),
+                        (e, mesh.boundary_edges)):
+        assert given.flags.writeable and not held.flags.writeable
+        assert held is not given and not np.shares_memory(held, given)
+    v[1, 0] = 2.0                      # the caller's array stays its own
+    assert mesh.vertices[1, 0] == 1.0
+
+
 def test_derived_arrays_are_computed_once_and_shared_between_threads():
     # a fresh mesh read from more threads than cores at once: every
     # thread sees the arrays a single thread computes

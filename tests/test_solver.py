@@ -8,13 +8,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gradflux import solver
-from gradflux.forms import (Formulation, StabilizationParams,
-                            apply_dirichlet, assemble)
+from gradflux.data_assign import build_dataset
+from gradflux.forms import (FIELD_NAMES, Formulation, StabilizationParams,
+                            apply_dirichlet, assemble, assemble_natural)
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import sector_mesh, unit_square_mesh
-from gradflux.solver import (SingularSystemError, SolverError, condense,
+from gradflux.solver import (SingularSystemError, SolverError,
                              matrix_digest, solve_direct)
-from gradflux.study import problem_data_for
+from gradflux.study import problem_data_for, solve_case
 
 
 EMPTY_SLOT = {"key": None, "nnz": 0, "since": 0, "lu": None}
@@ -43,11 +44,10 @@ def factorizations(monkeypatch):
     return built
 
 
-def constrained_system(case, kind, k, n=None, mesh=None, params=None):
-    mesh = unit_square_mesh(n) if mesh is None else mesh
+def constrained_system(case, kind, k, n):
+    mesh = unit_square_mesh(n)
     data = problem_data_for(case, mesh)
-    return apply_dirichlet(assemble(mesh, Formulation(kind, k), data,
-                                    params=params), data)
+    return apply_dirichlet(assemble(mesh, Formulation(kind, k), data), data)
 
 
 def residual(matrix, x, rhs):
@@ -372,80 +372,76 @@ def test_concurrent_solves_keep_the_books(slot):
 
 
 # ----------------------------------------------------------------------
-# static condensation
+# natural's system over u and lambda
 
-# natural's DG vector fields are condensed on: case 1 on the square, with
-# its Neumann sides; case 2 on a graded sector; case 1 again with every
-# stabilization coefficient on, which adds divergence terms to the
-# element blocks and couples u and lambda to s and mu
-CONDENSED_PROBLEMS = {
+# natural on three problems: case 1 on the square, with its Neumann
+# sides; case 2 on a graded sector; case 3 on the square with data
+# sampled at nd = 4, so e* and s* are element-constant.  kappa is not 1,
+# so A and A / kappa differ.
+NATURAL_PROBLEMS = {
     "square-case1": lambda: (unit_square_mesh(4), case1(kappa=1.3, zeta=0.7),
                              None),
     "sector-case2": lambda: (sector_mesh(3 * np.pi / 4, 3, grading=2.0),
                              case2(3 * np.pi / 4, kappa=0.8, zeta=1.4),
                              None),
-    "square-case1-stabilized": lambda: (unit_square_mesh(4), case1(),
-                                        StabilizationParams.full()),
+    "square-case3-nd4": lambda: (unit_square_mesh(4),
+                                 case3(kappa=1.6, zeta=0.5), 4),
 }
 
 
-def natural_system(problem, k):
-    mesh, case, params = CONDENSED_PROBLEMS[problem]()
-    return constrained_system(case, "natural", k, mesh=mesh, params=params)
+def natural_problem(problem, k):
+    """(mesh, case, dataset, constrained five-field system, constrained
+    system over u and lambda) of one problem."""
+    mesh, case, nd = NATURAL_PROBLEMS[problem]()
+    dataset = None if nd is None else build_dataset(nd, case.e, case.s)
+    data = problem_data_for(case, mesh, dataset)
+    formulation = Formulation("natural", k)
+    full = apply_dirichlet(assemble(mesh, formulation, data), data)
+    reduced, _ = assemble_natural(mesh, formulation, data)
+    return mesh, case, dataset, full, apply_dirichlet(reduced, data)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("problem", sorted(CONDENSED_PROBLEMS))
+@pytest.mark.parametrize("problem", sorted(NATURAL_PROBLEMS))
+def test_reduced_system_is_the_schur_complement(problem, k):
+    # dense Schur complement of the constrained five-field system in e,
+    # s and mu; u and lambda keep their order
+    *_, full, reduced = natural_problem(problem, k)
+    glob = np.r_[full.field_slice("u"), full.field_slice("lam")]
+    loc = np.setdiff1d(np.arange(full.n_dofs), glob)
+    a = full.matrix.toarray()
+    a_gl = a[np.ix_(glob, loc)]
+    solved = np.linalg.solve(a[np.ix_(loc, loc)], np.column_stack(
+        [a[np.ix_(loc, glob)], full.rhs[loc]]))
+    schur = a[np.ix_(glob, glob)] - a_gl @ solved[:, :-1]
+    load = full.rhs[glob] - a_gl @ solved[:, -1]
+    assert reduced.matrix.shape == schur.shape
+    assert np.abs(reduced.matrix.toarray() - schur).max() <= \
+        1e-12 * np.abs(schur).max()
+    assert np.abs(reduced.rhs - load).max() <= 1e-12 * np.abs(load).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("problem", sorted(NATURAL_PROBLEMS))
 def test_condensed_solve_matches_the_full_solve(problem, k):
-    system = natural_system(problem, k)
-    local = system.local_dofs()
-    nt = system.spaces.mesh.n_triangles
-    assert local.shape == (nt, 3 * (k + 1) * (k + 2))
-    matrix, rhs, recover = condense(system.matrix, system.rhs, local)
-    assert matrix.shape == (system.n_dofs - local.size,) * 2
-    x = recover(solve_direct(matrix, rhs))
-    full = solve_direct(system.matrix, system.rhs)
-    assert np.linalg.norm(x - full) <= 1e-10 * np.linalg.norm(full)
-    assert residual(system.matrix, x, system.rhs) <= \
-        1e-10 * np.linalg.norm(system.rhs)
+    # e, s and mu recovered in closed form: the five fields solve_case
+    # returns are the full system's solution and meet its contract
+    mesh, case, dataset, full, reduced = natural_problem(problem, k)
+    res = solve_case(mesh, Formulation("natural", k), case, dataset=dataset)
+    assert (res.n_solved, res.n_dofs) == (reduced.n_dofs, full.n_dofs)
+    x = np.concatenate([res.solution[name] for name in FIELD_NAMES])
+    expected = solve_direct(full.matrix, full.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert residual(full.matrix, x, full.rhs) <= \
+        1e-10 * np.linalg.norm(full.rhs)
 
 
-@pytest.mark.parametrize("kind", ["eo_unstab", "eo_min", "eo_full"])
-def test_equal_order_systems_pass_through_unchanged(kind):
-    system = constrained_system(case1(), kind, 1, 3)
-    local = system.local_dofs()
-    assert local.shape == (system.spaces.mesh.n_triangles, 0)
-    matrix, rhs, recover = condense(system.matrix, system.rhs, local)
-    assert matrix is system.matrix and rhs is system.rhs
-    x = solve_direct(matrix, rhs)
-    assert recover(x) is x
-
-
-def test_recovery_checks_the_full_residual():
-    system = natural_system("square-case1", 1)
-    matrix, rhs, recover = condense(system.matrix, system.rhs,
-                                    system.local_dofs())
-    x_glob = solve_direct(matrix, rhs)
-    recover(x_glob)
-    with pytest.raises(SolverError, match="full system"):
-        recover(x_glob * (1.0 + 1e-6))
-
-
-def test_entry_coupling_two_groups_is_rejected():
-    system = natural_system("square-case1", 0)
-    local = system.local_dofs()
-    matrix = system.matrix.tolil()
-    matrix[local[0, 0], local[1, 2]] = 1.0
-    with pytest.raises(ValueError, match="couples local groups 0 and 1"):
-        condense(matrix.tocsr(), system.rhs, local)
-
-
-def test_singular_local_block_is_a_singular_system():
-    system = natural_system("square-case1", 0)
-    local = system.local_dofs()
-    keep = np.ones(system.n_dofs)
-    keep[local[3]] = 0.0          # element 3's rows of e, s and mu vanish
-    matrix = sp.diags(keep) @ system.matrix
-    with pytest.raises(SingularSystemError, match="local block"):
-        condense(matrix, system.rhs, local)
-
+def test_natural_takes_no_stabilization():
+    mesh, case = unit_square_mesh(2), case1()
+    natural = Formulation("natural", 0)
+    with pytest.raises(ValueError, match="natural takes no stabilization"):
+        solve_case(mesh, natural, case, params=StabilizationParams(eta=0.5))
+    plain = solve_case(mesh, natural, case)
+    zero = solve_case(mesh, natural, case, params=StabilizationParams())
+    for name in FIELD_NAMES:
+        assert np.array_equal(plain.solution[name], zero.solution[name])

@@ -145,14 +145,15 @@ def test_interpolation_report_leaves_unmeasured_columns_undefined(tmp_path):
 
 
 @pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("kind, mapped", [("natural", 2), ("eo_unstab", 1),
+@pytest.mark.parametrize("kind, mapped", [("natural", 1), ("eo_unstab", 1),
                                           ("eo_min", 1), ("eo_full", 1)])
 def test_solve_case_maps_each_basis_once_per_tabulation(monkeypatch, kind,
                                                          mapped, k):
-    # assembly maps the gradients of every distinct basis once: one basis
-    # for the equal-order spaces, two for natural; the error norms take
-    # field gradients in reference coordinates and map no basis, and the
-    # sign audit reads values only
+    # assembly maps the gradients of every basis it differentiates once:
+    # the one basis of the equal-order spaces, natural's CG basis; the
+    # recovery of natural's e, s and mu and the error norms take field
+    # gradients in reference coordinates and map no basis, and the sign
+    # audit reads values only
     mapped_shapes = []
     map_gradients = elements._map_gradients
 

@@ -7,8 +7,10 @@
 formulations at k = 0, 1, 2 on three problems: ``unit_square_mesh(4)``
 with case 1, the same mesh with case 3 and data sampled at nd = 4, and
 ``sector_mesh(pi/2, 3, grading=2)`` with case 2.  Each cell stores the
-assembled and the Dirichlet-eliminated matrix (CSR arrays) and load,
-the system handed to ``solve_direct`` after static condensation, the
+assembled and the Dirichlet-eliminated five-field matrix (CSR arrays)
+and load, under ``schur`` the system ``solve_case`` hands to
+``solve_direct`` (for ``natural`` the one over u and lambda of
+``assemble_natural``, the Schur complement in e, s and mu), the
 solution ``solve_case`` returns (all fields, concatenated), its error
 row (``ERROR_COLUMNS`` order) and its second-law audit: the violation
 count and all the s . e values it counts.  The audit's worst value is
@@ -95,21 +97,24 @@ def _csr(prefix, matrix, rhs):
 
 def cell(mesh, kind, k, case, dataset):
     """Every stored quantity of one formulation and order on one problem."""
-    from gradflux.forms import Formulation, apply_dirichlet, assemble
+    from gradflux.forms import (Formulation, apply_dirichlet, assemble,
+                                assemble_natural)
     from gradflux.postproc import ERROR_COLUMNS, second_law_values
-    from gradflux.solver import condense
     from gradflux.study import problem_data_for, solve_case
 
+    formulation = Formulation(kind, k)
     data = problem_data_for(case, mesh, dataset)
-    system = assemble(mesh, Formulation(kind, k), data)
+    system = assemble(mesh, formulation, data)
     constrained = apply_dirichlet(system, data)
-    schur, load, _ = condense(constrained.matrix, constrained.rhs,
-                              constrained.local_dofs())
-    res = solve_case(mesh, Formulation(kind, k), case, dataset=dataset)
+    solved = constrained
+    if kind == "natural":
+        solved = apply_dirichlet(
+            assemble_natural(mesh, formulation, data)[0], data)
+    res = solve_case(mesh, formulation, case, dataset=dataset)
     out = {}
     out.update(_csr("assembled", system.matrix, system.rhs))
     out.update(_csr("eliminated", constrained.matrix, constrained.rhs))
-    out.update(_csr("schur", schur.tocsr(), load))
+    out.update(_csr("schur", solved.matrix, solved.rhs))
     out["solution"] = np.concatenate(list(res.solution.values()))
     out["errors"] = np.array([res.errors[c] for c in ERROR_COLUMNS],
                              dtype=float)
