@@ -226,15 +226,21 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: invalid JSON ({err})") from None
+    except OSError as err:
+        raise ConfigError(f"--config: cannot read {path!r} "
+                          f"({err.strerror})") from None
     return RunConfig(raw)
 
 
 def _outdir(config, override):
-    path = override or config.output
+    field, path = (("output", config.output) if override is None
+                   else ("--out", override))
+    if not path:
+        raise ConfigError(f"{field}: expected a directory name, "
+                          f"got {path!r}")
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
-        field = "--out" if override else "output"
         raise ConfigError(f"{field}: cannot create directory {path!r} "
                           f"({err.strerror})") from None
     return path
@@ -491,7 +497,7 @@ def main(argv=None):
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
-        if args.config:
+        if args.config is not None:
             config = load_config(args.config)
         else:
             config = RunConfig({})

@@ -211,7 +211,7 @@ def _field_at(fld, x, y, shape=()):
         return None
     if isinstance(fld, ElementField):
         return np.broadcast_to(fld.values[:, None], x.shape + shape)
-    if isinstance(fld, (int, float)):
+    if isinstance(fld, numbers.Real):
         if fld == 0.0:
             return None
         return np.full(x.shape + shape, float(fld))
@@ -288,20 +288,10 @@ def _space_pair_pattern(row_space, col_space):
     return _Pattern(rows, cols, within, counts, slot)
 
 
-def _component_layout(pattern, ra, cb, diagonal):
+def _component_layout(pattern, ra, cb):
     """The layout of a block whose row and column spaces have ra and cb
-    components, from the scalar pattern of its bases.
-
-    Component pair (a, b) of node pair p is stored value p ra cb + a cb +
-    b; with ``diagonal`` only the pairs a = b = c are stored, as value
-    2 p + c.
-    """
-    if diagonal:
-        comps = np.arange(2)
-        return _Layout((2 * pattern.rows[:, None] + comps).ravel(),
-                       (2 * pattern.cols[:, None] + comps).ravel(),
-                       np.repeat(pattern.within, 2),
-                       np.repeat(pattern.counts, 2))
+    components, from the scalar pattern of its bases: component pair
+    (a, b) of node pair p is stored value p ra cb + a cb + b."""
     shape = (len(pattern.rows), ra, cb)
     a, b = np.arange(ra)[:, None], np.arange(cb)
     return _Layout(
@@ -320,12 +310,11 @@ class _BlockMatrix:
     scalar node pairs its elements couple, so no global triplet list is
     held; that sparsity is computed once per pair of scalar bases.  A
     block between vector fields stores every component pair of a node
-    pair, or only its two component diagonals when all it receives is
-    ``add_mass`` terms.  ``csr()`` writes every block into its segment of
-    the global rows.  A row holds its blocks in field order, and fields
-    are numbered in that order, so the column indices come out sorted and
-    unique with no global sort.  Every block stores its whole pattern,
-    explicit zeros included.
+    pair.  ``csr()`` writes every block into its segment of the global
+    rows.  A row holds its blocks in field order, and fields are numbered
+    in that order, so the column indices come out sorted and unique with
+    no global sort.  Every block stores its whole pattern, explicit zeros
+    included.
     """
 
     def __init__(self, spaces, names=FIELD_NAMES):
@@ -333,7 +322,6 @@ class _BlockMatrix:
         self.names = names    # the fields of the dof vector, in order
         self._patterns = {}   # (row basis, column basis) -> pattern
         self._values = {}     # (row field, column field) -> (pairs, ra * cb)
-        self._masses = {}     # (row field, column field) -> (pairs,)
         self._layouts = {}    # see _layout
 
     def _bases(self, row_name, col_name):
@@ -367,50 +355,37 @@ class _BlockMatrix:
 
     def add_mass(self, row_name, col_name, mats):
         """Add scalar element matrices (nt, nr, nc) to both component
-        diagonals of a block between two vector fields."""
-        slot = self._pattern(row_name, col_name).slot
-        key = (row_name, col_name)
-        self._masses[key] = (self._masses.get(key, 0.0)
-                             + np.bincount(slot, weights=mats.ravel()))
+        diagonals, pairs (0, 0) and (1, 1), of a block between two
+        vector fields."""
+        mass = np.bincount(self._pattern(row_name, col_name).slot,
+                           weights=mats.ravel())
+        vals = self._values.setdefault((row_name, col_name),
+                                       np.zeros((len(mass), 4)))
+        vals[:, [0, 3]] += mass[:, None]
 
     def _blocks(self):
-        """(row field, column field, diagonal only) of every stored
-        block, in field order."""
-        for row_name in self.names:
-            for col_name in self.names:
-                key = (row_name, col_name)
-                if key in self._values:
-                    yield row_name, col_name, False
-                elif key in self._masses:
-                    yield row_name, col_name, True
+        """(row field, column field) of every stored block, in field
+        order."""
+        return [(row_name, col_name) for row_name in self.names
+                for col_name in self.names
+                if (row_name, col_name) in self._values]
 
-    def _layout(self, row_name, col_name, diagonal):
+    def _layout(self, row_name, col_name):
         """Where a block's stored values go: their rows and columns in
         the block, each one's position within its row, and the entries
         per row."""
-        ra, cb = (2, 2) if diagonal else self._components(row_name, col_name)
-        key = self._bases(row_name, col_name) + (ra, cb, diagonal)
+        ra, cb = self._components(row_name, col_name)
+        key = self._bases(row_name, col_name) + (ra, cb)
         if key not in self._layouts:
             self._layouts[key] = _component_layout(
-                self._pattern(row_name, col_name), ra, cb, diagonal)
+                self._pattern(row_name, col_name), ra, cb)
         return self._layouts[key]
-
-    def _block_values(self, row_name, col_name, diagonal):
-        key = (row_name, col_name)
-        mass = self._masses.get(key)
-        if diagonal:
-            return np.repeat(mass, 2)
-        vals = self._values[key]
-        if mass is not None:
-            vals = vals.copy()
-            vals[:, [0, 3]] += mass[:, None]       # pairs (0, 0), (1, 1)
-        return vals.ravel()
 
     def csr(self):
         offsets, n_dofs = self.spaces.offsets(self.names)
         row_len = np.zeros(n_dofs, dtype=np.int64)
-        for row_name, col_name, diagonal in self._blocks():
-            counts = self._layout(row_name, col_name, diagonal).counts
+        for row_name, col_name in self._blocks():
+            counts = self._layout(row_name, col_name).counts
             start = offsets[row_name]
             row_len[start:start + len(counts)] += counts
         indptr = np.zeros(n_dofs + 1, dtype=np.int64)
@@ -421,12 +396,12 @@ class _BlockMatrix:
         indices = np.empty(nnz, dtype=index_dtype)
         data = np.empty(nnz)
         fill = indptr[:-1].copy()          # next free slot of every row
-        for row_name, col_name, diagonal in self._blocks():
-            layout = self._layout(row_name, col_name, diagonal)
+        for row_name, col_name in self._blocks():
+            layout = self._layout(row_name, col_name)
             start = offsets[row_name]
             dest = fill[start + layout.rows] + layout.within
             indices[dest] = layout.cols + offsets[col_name]
-            data[dest] = self._block_values(row_name, col_name, diagonal)
+            data[dest] = self._values[row_name, col_name].ravel()
             fill[start:start + len(layout.counts)] += layout.counts
         return sp.csr_matrix((data, indices, indptr.astype(index_dtype)),
                              shape=(n_dofs, n_dofs))

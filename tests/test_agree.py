@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "agree.py"
 spec = importlib.util.spec_from_file_location("agree", TOOL)
@@ -108,4 +109,39 @@ def test_a_doctored_triangle_fails(dumped, tmp_path):
     assert rc == 1
     assert [line for line in lines if not line.endswith("bitwise")] == [
         "FAIL arrays     triangles            inf at mesh square-16",
+        "FAILED: tolerance 1e-09 relative"]
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5])
+def test_entries_stored_on_one_side_only_are_reported(dumped, tmp_path,
+                                                      value):
+    # three entries added to the first row of one assembled matrix:
+    # explicit zeros change its storage alone, a non-zero its values
+    arrays = dict(dumped[1])
+    matrix = "square-case1/eo_full/k1/assembled"
+    indptr, indices, data = (arrays[f"{matrix}.{name}"]
+                             for name in ("indptr", "indices", "data"))
+    n = len(indptr) - 1
+    added = np.setdiff1d(np.arange(n), indices[:indptr[1]])[:3]
+    doctored = sp.coo_matrix(
+        (np.concatenate([data, np.full(3, value)]),
+         (np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
+                          np.zeros(3, dtype=int)]),
+          np.concatenate([indices, added]))), shape=(n, n)).tocsr()
+    assert doctored.nnz == len(data) + 3
+    arrays[f"{matrix}.indptr"] = doctored.indptr.astype(indptr.dtype)
+    arrays[f"{matrix}.indices"] = doctored.indices.astype(indices.dtype)
+    arrays[f"{matrix}.data"] = doctored.data
+    rc, lines = compare_with(dumped, tmp_path, arrays)
+    assert rc == 1
+    dense = "0" if value == 0.0 else \
+        f"{value / np.abs(data).max():.2e}"
+    note = (f"       1 cell(s): stored only in change: 3, largest "
+            f"{value:.3}; dense {dense}")
+    assert [line for line in lines if not line.endswith("bitwise")] == [
+        f"FAIL {'eo_full':10s} {'assembled.data':20s} inf at square-case1 k1",
+        f"FAIL {'eo_full':10s} {'assembled.indices':20s} inf at "
+        "square-case1 k1", note,
+        f"FAIL {'eo_full':10s} {'assembled.indptr':20s} inf at "
+        "square-case1 k1", note,
         "FAILED: tolerance 1e-09 relative"]

@@ -200,6 +200,31 @@ def test_output_that_cannot_be_a_directory_is_a_config_error(tmp_path,
         f"error: --out: cannot create directory {str(taken)!r}")
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_config_that_cannot_be_read_exits_1_naming_the_option(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    for path, reason in (("nope.json", "No such file or directory"),
+                         ("folder", "Is a directory"),
+                         ("", "No such file or directory")):
+        assert main([command, "--config", path, "--out", "o"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --config: cannot read {path!r} ({reason})\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
+def test_an_empty_out_exits_1_naming_the_option(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"mesh": {"sizes": [2]},
+                                   "output": "from-config"})
+    assert main(["solve", "--config", path, "--out", ""]) == 1
+    assert capsys.readouterr().err == \
+        "error: --out: expected a directory name, got ''\n"
+    assert not (tmp_path / "from-config").exists()
+
+
 def test_coarse_fd_step_fails_verification(tmp_path, monkeypatch):
     # verify's step is fixed; a coarse one must still fail the check
     strong = manufactured.verify_strong_system

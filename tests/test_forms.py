@@ -435,6 +435,15 @@ def test_natural_gradient_identity():
     assert gap <= 1e-8
 
 
+def component_expanded(mats):
+    """Scalar element matrices (nt, nr, nc) on both component diagonals
+    of a vector block, over the interleaved local dofs."""
+    nt, nr, nc = mats.shape
+    full = np.zeros((nt, nr, 2, nc, 2))
+    full[:, :, 0, :, 0] = full[:, :, 1, :, 1] = mats
+    return full.reshape(nt, 2 * nr, 2 * nc)
+
+
 class TripletReference:
     """The triplet/COO construction the assembly used to make: every
     element matrix as (row, column, value) triplets, all concatenated and
@@ -459,10 +468,7 @@ class TripletReference:
         self.vals.append(np.ascontiguousarray(mats).ravel())
 
     def add_mass(self, row_name, col_name, mats):
-        # the scalar matrices on the two component diagonals only
-        for c in range(2):
-            self.add_triplets(self.dofs(row_name)[:, c::2],
-                              self.dofs(col_name)[:, c::2], mats)
+        self.add(row_name, col_name, component_expanded(mats))
 
     def csr(self):
         return sp.coo_matrix(
@@ -514,6 +520,56 @@ def test_block_assembly_matches_triplet_reference(kind, k, make_problem,
         scale = np.abs(ref.data).max()
         assert np.abs(mat.data - ref.data).max() <= 8 * np.finfo(float).eps \
             * scale
+
+
+class ExpandedMass(forms._BlockMatrix):
+    """The assembly's block matrix with each mass term added as its
+    component-expanded element matrices."""
+
+    def add_mass(self, row_name, col_name, mats):
+        self.add(row_name, col_name, component_expanded(mats))
+
+
+@pytest.mark.parametrize("make_problem", [square_problem, sector_problem])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["eo_min", "eo_full"])
+def test_a_mass_term_is_stored_like_its_expanded_matrices(
+        kind, k, make_problem, monkeypatch):
+    # one layout for every block: e-e and e-mu hold mass terms alone,
+    # and s-s (eo_full) and mu-mu also take a div-div term
+    mesh, data = make_problem()
+    form = Formulation(kind, k)
+    system = assemble(mesh, form, data)
+    gram = stability_norm_matrix(system.spaces, 1.3, 0.2)
+    monkeypatch.setattr(forms, "_BlockMatrix", ExpandedMass)
+    expanded = assemble(mesh, form, data)
+    expanded_gram = stability_norm_matrix(system.spaces, 1.3, 0.2)
+    assert np.array_equal(system.rhs, expanded.rhs)
+    for mat, ref in ((system.matrix, expanded.matrix),
+                     (gram, expanded_gram)):
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(mat, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_scalar_coefficients_assemble_like_python_floats():
+    mesh = unit_square_mesh(3)
+    case = case1()
+    dirichlet = {t: (case.u, case.lam) for t in SQUARE_TAGS}
+    for kind in ALL_KINDS:
+        form = Formulation(kind, 1)
+        systems = [assemble(mesh, form, ProblemData(
+            kappa=1.0, zeta=zeta, q=q, f=f, e_data=case.e_data,
+            s_data=case.s_data, dirichlet=dirichlet))
+            for zeta, q, f in ((1.0, 0.5, -2.0),
+                               (np.int64(1), np.float32(0.5),
+                                np.float64(-2.0)))]
+        python, numpy_scalars = systems
+        assert np.array_equal(python.rhs, numpy_scalars.rhs)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(python.matrix, name),
+                                  getattr(numpy_scalars.matrix, name))
 
 
 # ----------------------------------------------------------------------
@@ -729,8 +785,8 @@ class EinsumReference:
 
 class BlockRecorder:
     """Stands in for the assembly's block matrix: sums the element
-    matrices added to each block, a mass term spread over both
-    component diagonals of its vector block."""
+    matrices added to each block, a mass term expanded to its vector
+    block."""
 
     def __init__(self, spaces):
         self.spaces = spaces
@@ -741,10 +797,7 @@ class BlockRecorder:
         self.blocks[key] = self.blocks.get(key, 0.0) + mats
 
     def add_mass(self, row_name, col_name, mats):
-        nt, nr, nc = mats.shape
-        full = np.zeros((nt, nr, 2, nc, 2))
-        full[:, :, 0, :, 0] = full[:, :, 1, :, 1] = mats
-        self.add(row_name, col_name, full.reshape(nt, 2 * nr, 2 * nc))
+        self.add(row_name, col_name, component_expanded(mats))
 
     def csr(self):
         n_dofs = self.spaces.offsets()[1]

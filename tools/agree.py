@@ -30,7 +30,11 @@ the arrays ``MESH_ARRAYS`` names and its tags as indices into
 largest relative difference over the problems and orders (max |a - b|
 over max |a|, and the cell where it occurs), and exits 1 when a
 difference exceeds RTOL, an index array or a shape differs, or a cell is
-missing on one side.
+missing on one side.  Under a failing CSR index array it also prints,
+over the cells where that array differs, the entries stored on one side
+only (their count and largest |value|) and the largest relative
+difference of the two matrices taken densely, which tells a change of
+storage (explicit zeros, "largest 0.0; dense 0") from one of structure.
 """
 
 import argparse
@@ -194,6 +198,43 @@ def difference(a, b):
     return float(np.max(np.abs(a[ok] - b[ok]))) / scale
 
 
+def entries(indptr, indices, data, n):
+    """Sorted keys row * n + column of a CSR matrix's stored entries, and
+    their values, duplicates summed."""
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64),
+                     np.diff(indptr))
+    keys, slot = np.unique(rows * n + indices, return_inverse=True)
+    return keys, np.bincount(slot, weights=data, minlength=len(keys))
+
+
+def storage_note(parent, change, matrices):
+    """One line over the CSR matrices ``matrices`` names on both sides:
+    the entries stored on one side only (count and largest |value|) and
+    the largest relative difference of the matrices taken densely."""
+    only = {"parent": [0, 0.0], "change": [0, 0.0]}
+    dense = 0.0
+    for matrix in matrices:
+        csr = [[side[f"{matrix}.{name}"]
+                for name in ("indptr", "indices", "data")]
+               for side in (parent, change)]
+        n = max(len(csr[0][0]), len(csr[1][0]))
+        sides = [entries(*arrays, n) for arrays in csr]
+        keys = np.union1d(sides[0][0], sides[1][0])
+        full = []
+        for tally, (k, v), (other, _) in zip(only.values(), sides,
+                                             sides[::-1]):
+            alone = np.abs(v[~np.isin(k, other)])
+            tally[0] += len(alone)
+            tally[1] = max(tally[1], float(np.max(alone, initial=0.0)))
+            full.append(np.zeros(len(keys)))
+            full[-1][np.searchsorted(keys, k)] = v
+        dense = max(dense, difference(*full))
+    facts = [f"stored only in {side}: {count}, largest {largest:.3}"
+             for side, (count, largest) in only.items() if count]
+    facts.append("dense 0" if dense == 0.0 else f"dense {dense:.2e}")
+    return f"{len(matrices)} cell(s): " + "; ".join(facts)
+
+
 def compare(parent_path, change_path, out=sys.stdout):
     with np.load(parent_path) as pa, np.load(change_path) as ch:
         parent = {key: pa[key] for key in pa.files}
@@ -205,17 +246,26 @@ def compare(parent_path, change_path, out=sys.stdout):
         failed = True
 
     worst = {}                 # (kind, quantity) -> (difference, cell)
+    differing = {}             # (kind, CSR index array) -> matrix keys
     for key in sorted(parent.keys() & change.keys()):
         label, kind, order, quantity = key.split("/")
         diff = difference(parent[key], change[key])
         if (kind, quantity) not in worst or diff > worst[kind, quantity][0]:
             worst[kind, quantity] = (diff, f"{label} {order}")
+        matrix, _, name = key.rpartition(".")
+        if name in ("indptr", "indices") and not diff <= RTOL and all(
+                f"{matrix}.{array}" in side for side in (parent, change)
+                for array in ("indptr", "indices", "data")):
+            differing.setdefault((kind, quantity), set()).add(matrix)
     for (kind, quantity), (diff, where) in sorted(worst.items()):
         verdict = "bitwise" if diff == 0.0 else f"{diff:.2e} at {where}"
         bad = not diff <= RTOL
         failed |= bad
         print(f"{'FAIL' if bad else 'ok  '} {kind:10s} {quantity:20s} "
               f"{verdict}", file=out)
+        if (kind, quantity) in differing:
+            note = storage_note(parent, change, differing[kind, quantity])
+            print(f"       {note}", file=out)
     print(f"{'FAILED' if failed else 'agree'}: tolerance {RTOL:.0e} "
           f"relative", file=out)
     return 1 if failed else 0
