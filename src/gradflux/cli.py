@@ -222,13 +222,16 @@ class RunConfig:
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: invalid JSON ({err})") from None
     except OSError as err:
         raise ConfigError(f"--config: cannot read {path!r} "
                           f"({err.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"--config: cannot read {path!r} "
+                          "(not UTF-8 text)") from None
     return RunConfig(raw)
 
 

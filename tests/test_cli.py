@@ -205,13 +205,16 @@ def test_a_config_that_cannot_be_read_exits_1_naming_the_option(
         tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "folder").mkdir()
+    (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))
     for path, reason in (("nope.json", "No such file or directory"),
                          ("folder", "Is a directory"),
-                         ("", "No such file or directory")):
+                         ("", "No such file or directory"),
+                         ("utf16.json", "not UTF-8 text")):
         assert main([command, "--config", path, "--out", "o"]) == 1
         assert capsys.readouterr().err == \
             f"error: --config: cannot read {path!r} ({reason})\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder",
+                                                          "utf16.json"]
 
 
 def test_an_empty_out_exits_1_naming_the_option(tmp_path, monkeypatch,

@@ -9,8 +9,9 @@ import scipy.sparse.linalg as spla
 
 from gradflux import solver
 from gradflux.data_assign import build_dataset
-from gradflux.forms import (FIELD_NAMES, Formulation, StabilizationParams,
-                            apply_dirichlet, assemble, assemble_natural)
+from gradflux.forms import (FIELD_NAMES, FORMULATION_KINDS, Formulation,
+                            StabilizationParams, apply_dirichlet, assemble,
+                            assemble_natural)
 from gradflux.manufactured import case1, case2, case3
 from gradflux.mesh import sector_mesh, unit_square_mesh
 from gradflux.solver import (SingularSystemError, SolverError,
@@ -19,6 +20,7 @@ from gradflux.study import problem_data_for, solve_case
 
 
 EMPTY_SLOT = {"key": None, "nnz": 0, "since": 0, "lu": None}
+F32, F64, FULL = solver.LADDER
 
 
 @pytest.fixture(autouse=True)
@@ -29,19 +31,32 @@ def slot(monkeypatch):
     return fresh
 
 
+def recorded(monkeypatch, entry):
+    """Every fresh factorization's entry(factor, dtype, threshold), in
+    call order."""
+    calls = []
+    fresh = solver._factorize
+
+    def recording(mat, dtype=np.float32, threshold=solver.PIVOT_THRESHOLD):
+        lu = fresh(mat, dtype, threshold)
+        calls.append(entry(lu, dtype, threshold))
+        return lu
+
+    monkeypatch.setattr(solver, "_factorize", recording)
+    return calls
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     """Factor nnz of every fresh factorization, in call order."""
-    built = []
-    fresh = solver._factorize
+    return recorded(monkeypatch, lambda lu, *rung: lu.nnz)
 
-    def counting(mat, *threshold):
-        lu = fresh(mat, *threshold)
-        built.append(lu.nnz)
-        return lu
 
-    monkeypatch.setattr(solver, "_factorize", counting)
-    return built
+@pytest.fixture
+def rungs(monkeypatch):
+    """(dtype, pivot threshold) of every fresh factorization, in call
+    order."""
+    return recorded(monkeypatch, lambda lu, *rung: rung)
 
 
 def constrained_system(case, kind, k, n):
@@ -255,28 +270,34 @@ class Corrupted:
     """A factor that returns a wrong solution."""
 
     def __init__(self, lu):
-        self.nnz = lu.nnz
         self._lu = lu
+
+    def __getattr__(self, name):            # nnz, dtype, threshold
+        return getattr(self._lu, name)
 
     def solve(self, rhs):
         return 2.0 * self._lu.solve(rhs)
 
 
 def test_corrupted_factor_is_refactorized(slot, factorizations,
-                                         monkeypatch):
+                                         monkeypatch, rungs):
     mat = dominant_matrix(80, 24)
     rhs = np.random.default_rng(25).standard_normal(80)
-    x_good = solve_direct(mat, rhs)
+    solve_direct(mat, rhs)
     solve_direct(mat, rhs)
     monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
     assert len(factorizations) == 2
     x = solve_direct(mat, rhs)
     assert len(factorizations) == 3
-    assert np.array_equal(x, x_good)
     assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert slot["lu"] is not None and not isinstance(slot["lu"], Corrupted)
     solve_direct(mat, rhs)
     assert len(factorizations) == 3
+    # the held float32 factor's miss went on to float64 at 0.01
+    assert rungs == [F32, F32, F64]
+    x_good = solver._refined_solve(solver._factorize(mat, np.float64),
+                                   mat, rhs)
+    assert np.array_equal(x, x_good)
 
 
 def growth_matrix(n, d):
@@ -292,31 +313,27 @@ def growth_matrix(n, d):
 
 
 def test_factor_missing_the_contract_is_remade_with_full_pivoting(
-        slot, monkeypatch):
+        slot, monkeypatch, rungs):
     mat = growth_matrix(30, 0.02)
     rhs = np.random.default_rng(26).standard_normal(30)
-    with pytest.raises(SolverError):
-        solver._refined_solve(solver._factorize(mat), mat, rhs)
-    thresholds = []
-    fresh = solver._factorize
-
-    def recording(mat, threshold=solver.PIVOT_THRESHOLD):
-        thresholds.append(threshold)
-        return fresh(mat, threshold)
-
-    monkeypatch.setattr(solver, "_factorize", recording)
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(SolverError):
+            solver._refined_solve(solver._factorize(mat, dtype), mat, rhs)
+    ladder = list(solver.LADDER)
+    assert rungs == ladder[:2]
+    rungs.clear()
     x = solve_direct(mat, rhs)
     assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0]
+    assert rungs == ladder
     solve_direct(mat, rhs)                       # comes back: held
-    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2
+    assert rungs == ladder * 2
     # a held factor that misses the contract is remade at full pivoting
     monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
     x = solve_direct(mat, rhs)
-    assert thresholds == [solver.PIVOT_THRESHOLD, 1.0] * 2 + [1.0]
+    assert rungs == ladder * 2 + [FULL]
     assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     solve_direct(mat, rhs)
-    assert len(thresholds) == 5
+    assert len(rungs) == 7
 
 
 def test_pivot_threshold_keeps_the_fill_below_full_pivoting():
@@ -369,6 +386,79 @@ def test_concurrent_solves_keep_the_books(slot):
     assert slot["key"] == matrix_digest(matrices[-1])
     assert slot["nnz"] == largest
     assert slot["lu"] is None or slot["lu"].nnz == largest
+
+
+# ----------------------------------------------------------------------
+# the ladder: float32 refined in float64, then float64, then full pivoting
+
+
+def float64_solution(matrix, rhs):
+    mat = solver._canonical_csr(matrix)
+    return solver._refined_solve(solver._factorize(mat, np.float64), mat,
+                                 rhs)
+
+
+def test_a_workload_system_is_solved_on_the_float32_rung(rungs):
+    system = constrained_system(case1(), "eo_full", 1, 8)
+    x = solve_direct(system.matrix, system.rhs)
+    assert rungs == [F32]
+    expected = float64_solution(system.matrix, system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("mat_scale, rhs_scale, climbed", [
+    (1e39, 1e39, [F64]),          # a matrix beyond float32's range
+    (1e-30, 1e-30, [F32]),
+    (1.0, 1e39, [F32]),           # loads beyond float32's range
+    (1.0, 1e-40, [F32])])
+def test_the_float32_rung_takes_what_fits_its_range(rungs, mat_scale,
+                                                    rhs_scale, climbed):
+    system = constrained_system(case1(), "eo_full", 1, 8)
+    mat, rhs = mat_scale * system.matrix, rhs_scale * system.rhs
+    x = solve_direct(mat, rhs)
+    assert rungs == climbed
+    assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
+    expected = (rhs_scale / mat_scale) * float64_solution(system.matrix,
+                                                          system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def contract_problem(mesh_name, kind, k):
+    """The constrained system solve_case hands to solve_direct."""
+    if mesh_name == "square":
+        mesh, case = unit_square_mesh(4), case1(kappa=1.3, zeta=0.7)
+    else:
+        mesh, case = sector_mesh(np.pi / 2, 3, grading=2.0), case2(np.pi / 2)
+    data = problem_data_for(case, mesh)
+    formulation = Formulation(kind, k)
+    system = (assemble_natural(mesh, formulation, data)[0]
+              if kind == "natural" else assemble(mesh, formulation, data))
+    return apply_dirichlet(system, data)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", FORMULATION_KINDS)
+@pytest.mark.parametrize("mesh_name", ["square", "sector"])
+def test_every_formulation_meets_the_contract(mesh_name, kind, k):
+    # and agrees with the float64 factor's x within tools/agree.py's 1e-9
+    system = contract_problem(mesh_name, kind, k)
+    x = solve_direct(system.matrix, system.rhs)
+    assert residual(system.matrix, x, system.rhs) <= \
+        1e-10 * np.linalg.norm(system.rhs)
+    expected = float64_solution(system.matrix, system.rhs)
+    assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("name", ["matrix", "rhs"])
+def test_a_non_finite_entry_is_rejected_before_any_factorization(
+        factorizations, name):
+    for bad in (np.nan, np.inf, -np.inf):
+        mat, rhs = dominant_matrix(40, 27), np.ones(40)
+        (mat.data if name == "matrix" else rhs)[5] = bad
+        with pytest.raises(ValueError,
+                           match=f"^{name} has a non-finite entry$"):
+            solve_direct(mat, rhs)
+    assert factorizations == []
 
 
 # ----------------------------------------------------------------------
