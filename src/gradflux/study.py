@@ -82,15 +82,16 @@ def solve_case(mesh, formulation, case, dataset=None, params=None):
     ``natural`` solves its system over u and lambda
     (:func:`gradflux.forms.assemble_natural`) and recovers e, s and mu
     from it; it takes no stabilization (ValueError for a non-zero
-    coefficient).  A recovered field that is not finite raises
-    SolverError.  ``n_solved`` counts the unknowns ``solve_direct``
-    saw, ``n_dofs`` those of the five fields.
+    coefficient).  An assembled system with a non-finite entry (float64
+    overflow at an extreme kappa or zeta) or a recovered field that is
+    not finite raises SolverError.  ``n_solved`` counts the unknowns
+    ``solve_direct`` saw, ``n_dofs`` those of the five fields.
 
     The result holds coefficient vectors, not the matrix.  When the
-    solved matrix has the largest factor solved so far, the solver may
-    keep its LU factor for a later solve of the same matrix, such as the
-    next data set of a data study; see
-    :func:`gradflux.solver.solve_direct` for when it is held.
+    solved matrix has the largest factor solved so far and is solved a
+    second time, the solver keeps its LU factor for later solves of the
+    same matrix, such as the next data sets of a data study; see
+    :func:`gradflux.solver.solve_direct`.
     """
     data = problem_data_for(case, mesh, dataset)
     if formulation.kind != "natural":
@@ -101,6 +102,11 @@ def solve_case(mesh, formulation, case, dataset=None, params=None):
         raise ValueError(f"natural takes no stabilization, got {params}")
     constrained = apply_dirichlet(system, data)
     del system
+    if not all(np.isfinite(v).all()
+               for v in (constrained.matrix.data, constrained.rhs)):
+        raise SolverError(
+            f"assembled system has a non-finite entry (float64 overflow; "
+            f"kappa={case.kappa:g}, zeta={case.zeta:g})")
     x = solve_direct(constrained.matrix, constrained.rhs)
     solution = constrained.split(x) if fields is None else fields(x)
     bad = [name for name, v in solution.items() if not np.isfinite(v).all()]

@@ -628,3 +628,22 @@ def test_any_json_config_is_valid_or_a_config_error(raw):
         return
     assert not unknown and not misplaced
     assert_documented_fields(config)
+
+
+@pytest.mark.parametrize("payload, coefficients", [
+    ({"formulation": "natural", "kappa": 1e-310}, "kappa=1e-310, zeta=1"),
+    ({"formulation": "eo_full", "kappa": 1e-310}, "kappa=1e-310, zeta=1"),
+    ({"formulation": "eo_full", "zeta": 1e200}, "kappa=1, zeta=1e+200"),
+], ids=["natural-kappa", "eo_full-kappa", "eo_full-zeta"])
+def test_an_assembly_that_overflows_float64_is_a_numerical_failure(
+        tmp_path, capsys, payload, coefficients):
+    # kappa and zeta are in range, but 1 / kappa or zeta**2 is not
+    path = write_config(tmp_path, {"case": "case1", "mesh": {"sizes": [4]},
+                                   **payload})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: assembled system has a non-finite entry "
+        f"(float64 overflow; {coefficients})\n")

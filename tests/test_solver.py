@@ -19,8 +19,8 @@ from gradflux.solver import (SingularSystemError, SolverError,
 from gradflux.study import problem_data_for, solve_case
 
 
-EMPTY_SLOT = {"key": None, "nnz": 0, "since": 0, "lu": None}
-F32, F64, FULL = solver.LADDER
+EMPTY_SLOT = {"key": None, "nnz": 0, "lu": None}
+F32, F64 = np.float32, np.float64     # the float32 factor and the guard
 
 
 @pytest.fixture(autouse=True)
@@ -32,14 +32,13 @@ def slot(monkeypatch):
 
 
 def recorded(monkeypatch, entry):
-    """Every fresh factorization's entry(factor, dtype, threshold), in
-    call order."""
+    """Every fresh factorization's entry(factor), in call order."""
     calls = []
     fresh = solver._factorize
 
-    def recording(mat, dtype=np.float32, threshold=solver.PIVOT_THRESHOLD):
-        lu = fresh(mat, dtype, threshold)
-        calls.append(entry(lu, dtype, threshold))
+    def recording(mat, dtype=np.float32):
+        lu = fresh(mat, dtype)
+        calls.append(entry(lu))
         return lu
 
     monkeypatch.setattr(solver, "_factorize", recording)
@@ -49,14 +48,13 @@ def recorded(monkeypatch, entry):
 @pytest.fixture
 def factorizations(monkeypatch):
     """Factor nnz of every fresh factorization, in call order."""
-    return recorded(monkeypatch, lambda lu, *rung: lu.nnz)
+    return recorded(monkeypatch, lambda lu: lu.nnz)
 
 
 @pytest.fixture
 def rungs(monkeypatch):
-    """(dtype, pivot threshold) of every fresh factorization, in call
-    order."""
-    return recorded(monkeypatch, lambda lu, *rung: rung)
+    """dtype of every fresh factorization, in call order."""
+    return recorded(monkeypatch, lambda lu: lu.dtype)
 
 
 def constrained_system(case, kind, k, n):
@@ -187,22 +185,6 @@ def test_changed_value_or_explicit_zero_is_a_miss(slot, factorizations):
         assert residual(other, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_sweep_cycle_holds_no_factor(slot, factorizations):
-    # two sweeps of four growing meshes, as in a convergence study: each
-    # matrix returns only after seven others, among them a larger one or
-    # several whose factors outweigh it
-    systems = [constrained_system(case1(), kind, 1, n)
-               for kind, sizes in (("eo_full", (2, 4, 6, 8)),
-                                   ("natural", (2, 4, 6, 9)))
-               for n in sizes]
-    for _ in range(3):
-        for system in systems:
-            solve_direct(system.matrix, system.rhs)
-            assert slot["lu"] is None
-    assert len(factorizations) == 24
-    assert slot["nnz"] == max(factorizations)
-
-
 def test_data_study_cycle_holds_what_fits_the_bound(slot, factorizations):
     # four data sets, each swept over the same three meshes: only the
     # data (the right-hand side) change
@@ -237,33 +219,29 @@ def test_held_nnz_never_exceeds_the_largest_factor(slot, factorizations):
     assert hits > 0 and len(factorizations) == 120 - hits
 
 
-def test_largest_matrix_back_after_more_than_its_own_is_not_held(
+def test_the_largest_matrix_is_held_from_its_second_solve_on(
         slot, factorizations):
     largest, smaller = diagonal_matrix(100), (diagonal_matrix(60),
                                              diagonal_matrix(50))
-    for mat in (largest, *smaller, largest):
-        solve_direct(mat, np.ones(mat.shape[0]))
-    # 120 + 100 factor entries came between, more than its own 200
-    assert factorizations == [200, 120, 100, 200]
-    assert slot["lu"] is None and slot["since"] == 0
-    solve_direct(largest, np.ones(100))          # back at once: held
     solve_direct(largest, np.ones(100))
-    assert len(factorizations) == 5 and slot["lu"] is not None
+    assert slot["nnz"] == 200 and slot["lu"] is None    # first sight
+    solve_direct(largest, np.ones(100))                 # second solve
+    held = slot["lu"]
+    assert held is not None and held.nnz == 200
+    # smaller solves, with more than twice its factor entries between
+    # them, drop nothing; the largest comes back to its held factor
+    for mat in (*smaller, *smaller, largest):
+        solve_direct(mat, np.ones(mat.shape[0]))
+        assert slot["lu"] is held
+    assert factorizations == [200, 200, 120, 100, 120, 100]
     # a matrix with a factor as large takes the slot, not yet held
-    solve_direct(diagonal_matrix(100, 0.5), np.ones(100))
+    other = diagonal_matrix(100, 0.5)
+    solve_direct(other, np.ones(100))
+    assert slot["key"] == matrix_digest(other)
     assert slot["lu"] is None and slot["nnz"] == 200
     solve_direct(largest, np.ones(100))
-    assert len(factorizations) == 7
-
-
-def test_a_hit_restarts_the_count(slot, factorizations):
-    largest, smaller = diagonal_matrix(100), diagonal_matrix(60)
-    for mat in (largest, largest, smaller, largest, smaller, largest):
-        solve_direct(mat, np.ones(mat.shape[0]))
-    # each 120 entries come after a hit, within the held 200; together
-    # they would outweigh it
-    assert factorizations == [200, 200, 120, 120]
-    assert slot["lu"] is not None and slot["since"] == 0
+    assert factorizations == [200, 200, 120, 100, 120, 100, 200, 200]
+    assert slot["lu"] is None
 
 
 class Corrupted:
@@ -272,7 +250,7 @@ class Corrupted:
     def __init__(self, lu):
         self._lu = lu
 
-    def __getattr__(self, name):            # nnz, dtype, threshold
+    def __getattr__(self, name):            # nnz, dtype
         return getattr(self._lu, name)
 
     def solve(self, rhs):
@@ -293,7 +271,7 @@ def test_corrupted_factor_is_refactorized(slot, factorizations,
     assert slot["lu"] is not None and not isinstance(slot["lu"], Corrupted)
     solve_direct(mat, rhs)
     assert len(factorizations) == 3
-    # the held float32 factor's miss went on to float64 at 0.01
+    # the held float32 factor's miss went on to the guard
     assert rungs == [F32, F32, F64]
     x_good = solver._refined_solve(solver._factorize(mat, np.float64),
                                    mat, rhs)
@@ -316,24 +294,22 @@ def test_factor_missing_the_contract_is_remade_with_full_pivoting(
         slot, monkeypatch, rungs):
     mat = growth_matrix(30, 0.02)
     rhs = np.random.default_rng(26).standard_normal(30)
-    for dtype in (np.float32, np.float64):
-        with pytest.raises(SolverError):
-            solver._refined_solve(solver._factorize(mat, dtype), mat, rhs)
-    ladder = list(solver.LADDER)
-    assert rungs == ladder[:2]
+    with pytest.raises(SolverError):
+        solver._refined_solve(solver._factorize(mat, F32), mat, rhs)
+    assert rungs == [F32]
     rungs.clear()
     x = solve_direct(mat, rhs)
     assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert rungs == ladder
+    assert rungs == [F32, F64]
     solve_direct(mat, rhs)                       # comes back: held
-    assert rungs == ladder * 2
-    # a held factor that misses the contract is remade at full pivoting
+    assert rungs == [F32, F64] * 2
+    # a held guard factor that misses the contract is made again
     monkeypatch.setitem(slot, "lu", Corrupted(slot["lu"]))
     x = solve_direct(mat, rhs)
-    assert rungs == ladder * 2 + [FULL]
+    assert rungs == [F32, F64] * 2 + [F64]
     assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
     solve_direct(mat, rhs)
-    assert len(rungs) == 7
+    assert len(rungs) == 5
 
 
 def test_pivot_threshold_keeps_the_fill_below_full_pivoting():
@@ -389,7 +365,7 @@ def test_concurrent_solves_keep_the_books(slot):
 
 
 # ----------------------------------------------------------------------
-# the ladder: float32 refined in float64, then float64, then full pivoting
+# float32 refined in float64, then the guard: float64, full pivoting
 
 
 def float64_solution(matrix, rhs):
@@ -404,6 +380,32 @@ def test_a_workload_system_is_solved_on_the_float32_rung(rungs):
     assert rungs == [F32]
     expected = float64_solution(system.matrix, system.rhs)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_a_float32_solve_may_take_up_to_thirty_steps(monkeypatch, rungs):
+    # three blocks [[1, 1], [1, 1 + d]] with d 1.3 float32 ulps of 1:
+    # the float32 factor stores 1 + d as 1 + 1 ulp, so each refinement
+    # step shrinks the error along the near-null vectors only to 0.3
+    d = 1.3 * 2.0 ** -23
+    mat = sp.block_diag([[[1.0, 1.0], [1.0, 1.0 + d]]] * 3, format="csr")
+    rhs = mat @ np.random.default_rng(28).standard_normal(6)
+    solves = []
+    factor_solve = solver._Factor.solve
+
+    def counted(lu, r):
+        solves.append(r)
+        return factor_solve(lu, r)
+
+    monkeypatch.setattr(solver._Factor, "solve", counted)
+    x = solve_direct(mat, rhs)
+    assert rungs == [F32]
+    assert 10 < len(solves) - 1 <= 30            # refinement steps
+    # dsgesv's backward-error test; the condition number, about 3e7,
+    # bounds the forward error of any float64 solve to about 3e-9
+    norm_a = abs(mat).sum(axis=1).max()
+    assert np.abs(rhs - mat @ x).max() <= \
+        np.sqrt(6) * 2.0 ** -53 * norm_a * np.abs(x).max()
+    assert residual(mat, x, rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("mat_scale, rhs_scale, climbed", [

@@ -97,7 +97,7 @@ def test_solve_case_returns_record():
 
 def test_convergence_study_rows_and_threads(monkeypatch):
     monkeypatch.setattr(solver, "_LARGEST", {"key": None, "nnz": 0,
-                                             "since": 0, "lu": None})
+                                             "lu": None})
     case = case3()
     meshes = square_meshes([4, 8, 16])
     serial, _ = convergence_study(case, Formulation("natural", 0), meshes)
